@@ -4,12 +4,12 @@ reproducible benchmark harness."""
 
 from .data import DataSet, OccSplit, kfold, load_csv, make_occ_split
 from .evaluate import GridSpec, grid_search, run_benchmark, trace_run
-from .kernel import NptBasis, build_npt, center_kernel, npt_map_test, rbf_kernel
+from .kernel import NptBasis, build_npt, center_kernel, rbf_kernel
 from .metrics import ConfusionCounts, gmean
 from .model_store import TrainedModel, load, predict, save
 from .pipeline import MethodSpec, fit_occ_model, parse_method
 from .subspace import TrainConfig, train
-from .svdd import AlphaVector, DataDescription, decide, describe, solve_dual
+from .svdd import AlphaVector, DataDescription, decide_batch, describe, solve_dual
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "TrainedModel",
     "build_npt",
     "center_kernel",
-    "decide",
+    "decide_batch",
     "describe",
     "fit_occ_model",
     "gmean",
@@ -35,7 +35,6 @@ __all__ = [
     "load",
     "load_csv",
     "make_occ_split",
-    "npt_map_test",
     "parse_method",
     "predict",
     "rbf_kernel",

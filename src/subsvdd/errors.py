@@ -15,10 +15,6 @@ class DimensionMismatch(SubsvddError):
     pass
 
 
-class TooLarge(SubsvddError):
-    """Input exceeds a hard size cap (brute-force oracles only)."""
-
-
 # --- numerical failures ---------------------------------------------------
 
 class NumericalError(SubsvddError):

@@ -95,14 +95,14 @@ def npt_fit(k_hat, rank_tol=DEFAULT_RANK_TOL):
         raise ZeroKernel("centered kernel has no positive eigenvalue")
     keep = vals > rank_tol * lam_max
     vals_r = vals[keep]
-    u_r = vecs[:, keep]
+    u_r = np.ascontiguousarray(vecs[:, keep])  # C order, as a loaded model holds it
     phi = (u_r / np.sqrt(vals_r)).T @ k_mat  # A_r^{-1/2} U_r' K_hat
     return phi, u_r, vals_r
 
 
 def build_npt(x, sigma, rank_tol=DEFAULT_RANK_TOL):
     """Kernel -> centering -> eigendecomposition pipeline for training data."""
-    x_mat = np.asarray(x, dtype=np.float64)
+    x_mat = np.ascontiguousarray(x, dtype=np.float64)  # C order, as a loaded model holds it
     k = rbf_kernel(x_mat, sigma)
     phi, u_r, vals_r = npt_fit(center_kernel(k), rank_tol=rank_tol)
     return NptBasis(
@@ -128,10 +128,3 @@ def npt_map(x_new, basis: NptBasis):
     k_hat_star = v - v.mean(axis=0, keepdims=True)
     return (basis.u_r / np.sqrt(basis.eigvals_r)).T @ k_hat_star
 
-
-def npt_map_test(x_star, basis: NptBasis):
-    """Single-point convenience wrapper around ``npt_map``."""
-    vec = np.asarray(x_star, dtype=np.float64)
-    if vec.ndim != 1:
-        raise DimensionMismatch("x_star must be a vector")
-    return npt_map(vec[:, None], basis)[:, 0]

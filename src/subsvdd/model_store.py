@@ -2,7 +2,9 @@
 
 Models are stored as JSON (format_version 1) with matrices as nested
 row-major lists. Python's float repr round-trips IEEE doubles exactly, so a
-save/load cycle reproduces predictions bit for bit.
+save/load cycle reproduces predictions bit for bit. Prediction reads Q, the
+center and the radius (and the kernel basis for rbf models); ``Y_train`` and
+``alpha`` are stored and validated but not used to decide.
 """
 from __future__ import annotations
 
@@ -217,5 +219,4 @@ def predict(model: TrainedModel, x_new):
         pts = (pts - mean[:, None]) / std[:, None]
     if model.npt is not None:
         pts = npt_map(pts, model.npt)
-    y_new = model.q @ pts
-    return decide_batch(y_new, model.description, model.y_train, model.description.alpha)
+    return decide_batch(model.q @ pts, model.description)

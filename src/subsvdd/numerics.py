@@ -96,14 +96,6 @@ def sym_eig(s):
     return EigDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def pinv(m, rel_tol=1e-10):
-    """Moore-Penrose pseudo-inverse, dropping singular values < rel_tol * sigma_max."""
-    a = as_matrix(m, "m")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    return np.linalg.pinv(a, rcond=rel_tol)
-
-
 def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
     """Factor (H + mu*I)^+ for symmetric H as (U, inv_eigenvalues).
 
@@ -115,6 +107,8 @@ def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
     """
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
     eig = sym_eig(h)
     lam = eig.eigenvalues + mu
     scale = np.abs(lam).max() if lam.size else 0.0
@@ -124,12 +118,3 @@ def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
         inv[keep] = 1.0 / lam[keep]
     return eig.eigenvectors, inv
 
-
-def solve_damped(h, g, mu=0.0, rel_tol=1e-10):
-    """Minimum-norm least-squares solve of (H + mu*I) x = g for symmetric H."""
-    a = as_matrix(h, "h")
-    rhs = np.asarray(g, dtype=np.float64)
-    if rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {rhs.shape} does not match H {a.shape}")
-    u, inv = damped_pinv_factor(a, mu=mu, rel_tol=rel_tol)
-    return u @ (inv * (u.T @ rhs))

@@ -1,9 +1,11 @@
 """End-to-end fitting: method selection, scaling, kernel basis, training, bundling.
 
 A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
-``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``. Plain SVDD skips the
-subspace loop entirely (Q = identity); the subspace families run the
-iterative optimizer in the (possibly kernel-induced) feature space.
+``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``. Every family is fitted
+by ``subspace.train`` in the (possibly kernel-induced) feature space: plain
+SVDD is the fit with Q = I held fixed (psi0, k_max = 1, so no update runs),
+and the subspace families run the iterative optimizer. The family only
+picks the training configuration.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from .errors import DimensionMismatch
 from .kernel import build_npt, npt_map
 from .metrics import confusion_from_labels, gmean
 from .model_store import TrainedModel
-from .subspace import TraceRow, TrainConfig, describe, objective, project, train
-from .svdd import decide_batch, solve_dual
+from .subspace import TrainConfig, train
+from .svdd import decide_batch
 
 log = logging.getLogger("subsvdd")
 
@@ -75,16 +77,6 @@ def parse_method(text):
     raise ValueError(f"bad method string {text!r}")
 
 
-def _eval_closure(x_eval_work, is_target):
-    """Score a candidate subspace model on pre-mapped held-out points."""
-
-    def eval_fn(q, desc, y, alpha):
-        _, pos = decide_batch(q @ x_eval_work, desc, y, alpha)
-        return gmean(confusion_from_labels(is_target, pos))
-
-    return eval_fn
-
-
 def fit_occ_model(
     features,
     method: MethodSpec,
@@ -125,8 +117,7 @@ def fit_occ_model(
         npt = build_npt(work, sigma, rank_tol=rank_tol)
         work = npt.phi
 
-    x_eval_work = None
-    is_target = None
+    eval_fn = None
     if eval_data is not None:
         x_eval, is_target = eval_data
         x_eval = np.asarray(x_eval, dtype=np.float64)
@@ -136,35 +127,22 @@ def fit_occ_model(
             )
         x_eval_work = npt_map(x_eval, npt) if npt is not None else x_eval
 
+        def eval_fn(q, desc):
+            _, pos = decide_batch(q @ x_eval_work, desc)
+            return gmean(confusion_from_labels(is_target, pos))
+
     feat_dim = work.shape[0]
     if method.family == "svdd":
-        q = np.eye(feat_dim)
-        alpha = solve_dual(work.T @ work, C)
-        desc = describe(alpha, work)
-        score = None
-        if x_eval_work is not None:
-            _, pos = decide_batch(x_eval_work, desc, work, alpha)
-            score = gmean(confusion_from_labels(is_target, pos))
-        zeros = np.zeros(alpha.alpha.shape[0])
-        trace = [
-            TraceRow(
-                iteration=1,
-                objective=objective(q, work, alpha.alpha, zeros, 0.0),
-                gmean=score,
-                orth_error=0.0,
-            )
-        ]
-        d_used = feat_dim
-        q_final, y_train = q, work
+        d_used, q0 = feat_dim, np.eye(feat_dim)
+        cfg = TrainConfig(d=d_used, C=C, reg_kind="psi0", k_max=1)
     else:
         if d is None:
             raise ValueError("subspace methods need the target dimension d")
-        d_req = int(d)
-        d_used = d_req
-        if method.kernel == "rbf" and d_req > feat_dim:
+        d_used, q0 = int(d), None
+        if method.kernel == "rbf" and d_used > feat_dim:
             log.warning(
                 "requested d=%d exceeds retained kernel rank %d; clamping",
-                d_req,
+                d_used,
                 feat_dim,
             )
             d_used = feat_dim
@@ -181,11 +159,7 @@ def fit_occ_model(
             hessian_beta_mode=hessian_beta_mode,
             damping=damping,
         )
-        eval_fn = None
-        if x_eval_work is not None:
-            eval_fn = _eval_closure(x_eval_work, is_target)
-        fit = train(work, cfg, eval_fn=eval_fn)
-        q_final, desc, y_train, trace = fit.q, fit.description, fit.y_train, fit.trace
+    fit = train(work, cfg, eval_fn=eval_fn, q0=q0)
 
     config = {
         "method": method.family,
@@ -206,6 +180,6 @@ def fit_occ_model(
         "scaling": scaling,
     }
     model = TrainedModel(
-        config=config, q=q_final, description=desc, y_train=y_train, npt=npt
+        config=config, q=fit.q, description=fit.description, y_train=fit.y_train, npt=npt
     )
-    return model, trace
+    return model, fit.trace

@@ -10,8 +10,14 @@ with Psi = Tr(Q X lam lam' X' Q'), either directly (gradient optimizer) or
 preconditioned by the Hessian (newton optimizer). Under row-major
 vectorization the Hessian is block diagonal, H = I_d kron B with
 B = 2 X (diag(a) - aa' + w * lam lam') X', so the Newton solve reduces to d
-independent D x D systems. After every update Q is re-orthonormalized (QR)
-and row-normalized.
+independent D x D systems. ``update_step`` is the one step both optimizers
+take; after it Q is re-orthonormalized (QR) and row-normalized.
+
+The dual in each subspace is solved on the Gram matrix of the centered
+projections, which is exact because sum(a) = 1 and keeps the solution
+independent of where the origin lies. The center (Y a), the objective and
+the regularizers use the projections as they are: Psi depends on the origin
+by definition. Plain SVDD is this fit with Q = I held fixed (k_max = 1).
 
 The Hessian weight w on lam lam' is configurable: ``as_written`` uses w = 1
 and ``consistent`` uses w = beta (matching the gradient, in which case the
@@ -23,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateSubspace,
-    DimensionMismatch,
-    InfeasibleC,
-    RankDeficient,
-    TooLarge,
-)
+from .errors import DegenerateSubspace, DimensionMismatch, InfeasibleC, RankDeficient
 from .numerics import damped_pinv_factor, qr_orthonormalize_rows, row_normalize_l2
 from .svdd import SV_EPS_FACTOR, AlphaVector, DataDescription, describe, solve_dual
 
@@ -37,8 +37,6 @@ REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
 DIRECTIONS = ("min", "max")
 OPTIMIZERS = ("gradient", "newton")
 HESSIAN_BETA_MODES = ("as_written", "consistent")
-
-HESSIAN_FULL_CAP = 2500  # hard cap on d*D for the brute-force assembly
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class ProjectionState:
-    """Current projection matrix plus where the optimizer stands."""
-
-    q: np.ndarray
-    iteration: int
-    direction: str
-
-
-@dataclass(frozen=True)
 class TraceRow:
     """One per-iteration record: objective, optional eval score, QQ' deviation."""
 
@@ -142,15 +131,6 @@ def build_lambda(spec: RegularizationSpec, alpha: AlphaVector):
         (a > spec.boundary_eps) & (a < alpha.C - spec.boundary_eps), a, 0.0
     )
     return lam
-
-
-def _core_matrix(alpha_values, lam, weight):
-    """M = diag(a) - aa' + weight * lam lam' (N x N)."""
-    return (
-        np.diag(alpha_values)
-        - np.outer(alpha_values, alpha_values)
-        + weight * np.outer(lam, lam)
-    )
 
 
 def objective(q, x, alpha_values, lam, beta):
@@ -195,49 +175,18 @@ def hessian_core(x, alpha_values, lam, beta, mode="as_written"):
     if x_mat.ndim != 2 or a.shape[0] != x_mat.shape[1] or lam_v.shape[0] != x_mat.shape[1]:
         raise DimensionMismatch("alpha/lambda length does not match sample count")
     weight = 1.0 if mode == "as_written" else beta
-    g = x_mat @ _core_matrix(a, lam_v, weight) @ x_mat.T
+    core = np.diag(a) - np.outer(a, a) + weight * np.outer(lam_v, lam_v)
+    g = x_mat @ core @ x_mat.T
     # g + g' supplies the factor 2 and scrubs the (tiny) numerical asymmetry
     # of the matrix product, keeping B bitwise symmetric
     return g + g.T
 
 
-def hessian_full(x, alpha_values, lam, beta, mode, d):
-    """Brute-force dD x dD Hessian via literal structure-matrix assembly.
-
-    Entry ((i,j),(k,l)) is 2 tr[X M X' (S^ij)' S^kl] with S^ij the single-entry
-    d x D matrix. Testing oracle only; refuses d*D > HESSIAN_FULL_CAP.
-    """
-    x_mat = np.asarray(x, dtype=np.float64)
-    big_d = x_mat.shape[0]
-    if d * big_d > HESSIAN_FULL_CAP:
-        raise TooLarge(f"d*D = {d * big_d} exceeds cap {HESSIAN_FULL_CAP}")
-    weight = 1.0 if mode == "as_written" else beta
-    a = np.asarray(alpha_values, dtype=np.float64)
-    lam_v = np.asarray(lam, dtype=np.float64)
-    g_mat = x_mat @ _core_matrix(a, lam_v, weight) @ x_mat.T
-    g_mat = 0.5 * (g_mat + g_mat.T)  # X M X' is symmetric; enforce it exactly
-    n_flat = d * big_d
-    h_full = np.empty((n_flat, n_flat))
-    for i in range(d):
-        for j in range(big_d):
-            s_ij = np.zeros((d, big_d))
-            s_ij[i, j] = 1.0
-            row = i * big_d + j
-            for k in range(d):
-                for l_col in range(big_d):
-                    s_kl = np.zeros((d, big_d))
-                    s_kl[k, l_col] = 1.0
-                    h_full[row, k * big_d + l_col] = 2.0 * np.trace(
-                        g_mat @ s_ij.T @ s_kl
-                    )
-    return h_full
-
-
 def newton_step(grad, b, mu=0.0, rel_tol=1e-10):
     """Solve B s_r = g_r for every row r of the gradient (H = I_d kron B).
 
-    One factorization of B serves all rows; the result equals calling
-    solve_damped per row.
+    One factorization of B serves all rows, and the result equals the
+    minimum-norm solve of the full system H s = g.
     """
     g_mat = np.asarray(grad, dtype=np.float64)
     u, inv = damped_pinv_factor(np.asarray(b, dtype=np.float64), mu=mu, rel_tol=rel_tol)
@@ -256,20 +205,14 @@ def _finalize(q_raw):
     return row_normalize_l2(qr_orthonormalize_rows(q_raw))
 
 
-def update_step(state: ProjectionState, grad, b, cfg: TrainConfig):
-    """One optimizer step followed by QR orthonormalization and row normalization.
+def update_step(q, grad, b, cfg: TrainConfig):
+    """One optimizer step, before re-orthonormalization.
 
-    Propagates RankDeficient when the updated matrix loses row rank; ``train``
-    recovers from that by redrawing the offending rows.
+    The newton optimizer moves Q along B^+ applied to each gradient row (B is
+    the Hessian core); the gradient optimizer along the gradient itself.
     """
-    if cfg.optimizer == "newton":
-        step = newton_step(grad, b, mu=cfg.damping)
-    else:
-        step = grad
-    q_raw = apply_update(state.q, step, cfg.eta, cfg.direction)
-    return ProjectionState(
-        q=_finalize(q_raw), iteration=state.iteration + 1, direction=cfg.direction
-    )
+    step = newton_step(grad, b, mu=cfg.damping) if cfg.optimizer == "newton" else grad
+    return apply_update(q, step, cfg.eta, cfg.direction)
 
 
 def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
@@ -305,7 +248,7 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     (objective of the current subspace and, when ``eval_fn`` is given, its
     score); the final row belongs to the returned model.
 
-    ``eval_fn(q, desc, y, alpha) -> float`` may be attached to score each
+    ``eval_fn(q, desc) -> float`` may be attached to score each
     iteration's model on held-out data. ``q0`` overrides the seeded random
     initialization (it is re-orthonormalized), used for equivariance studies.
     """
@@ -331,37 +274,34 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     )
     trace: list[TraceRow] = []
 
+    def fit_dual(q_now, warm):
+        y = project(q_now, x_mat)
+        yc = y - y.mean(axis=1, keepdims=True)
+        return y, solve_dual(yc.T @ yc, cfg.C, alpha0=warm)
+
     def record(k, q_now, alpha, y):
         obj = objective(q_now, x_mat, alpha.alpha, build_lambda(reg, alpha), cfg.beta)
         score = None
         if eval_fn is not None:
-            score = eval_fn(q_now, describe(alpha, y), y, alpha)
+            score = eval_fn(q_now, describe(alpha, y))
         orth = float(np.abs(q_now @ q_now.T - np.eye(cfg.d)).max())
         trace.append(TraceRow(iteration=k, objective=obj, gmean=score, orth_error=orth))
 
     k = 1
     warm = None
     while k < cfg.k_max:
-        y = project(q, x_mat)
-        alpha = solve_dual(y.T @ y, cfg.C, alpha0=warm)
+        y, alpha = fit_dual(q, warm)
         warm = alpha.alpha
         record(k, q, alpha, y)
         lam = build_lambda(reg, alpha)
         grad = gradient(q, x_mat, alpha.alpha, lam, cfg.beta)
+        b = None
         if cfg.optimizer == "newton":
-            step = newton_step(
-                grad, hessian_core(x_mat, alpha.alpha, lam, cfg.beta, cfg.hessian_beta_mode),
-                mu=cfg.damping,
-            )
-        else:
-            step = grad
-        q = _orthonormalize_with_recovery(
-            apply_update(q, step, cfg.eta, cfg.direction), rng
-        )
+            b = hessian_core(x_mat, alpha.alpha, lam, cfg.beta, cfg.hessian_beta_mode)
+        q = _orthonormalize_with_recovery(update_step(q, grad, b, cfg), rng)
         k += 1
 
-    y = project(q, x_mat)
-    alpha = solve_dual(y.T @ y, cfg.C, alpha0=warm)
+    y, alpha = fit_dual(q, warm)
     record(cfg.k_max, q, alpha, y)
     desc = describe(alpha, y)
     return SubspaceFit(q=q, description=desc, y_train=y, trace=trace)

@@ -2,7 +2,11 @@
 
 The dual maximizes sum_i a_i G_ii - sum_ij a_i G_ij a_j over the simplex
 sum(a) = 1 with box 0 <= a_i <= C, where G is the Gram matrix of the
-(projected) training data. The solver is a deterministic pairwise coordinate
+(projected) training data. Because sum(a) = 1, the dual does not change when
+every point moves by the same offset, so callers pass the Gram matrix of the
+centered data (``subspace.train`` does). The center is c = sum_i a_i y_i in
+the caller's coordinates, and a point is inside the description when
+||y - c||^2 <= R^2. The solver is a deterministic pairwise coordinate
 exchange: the pair most violating the KKT conditions is updated by the
 closed-form 2-variable solution, clipped to the box. On apparent convergence
 a full pairwise sweep certifies that no feasible exchange improves the
@@ -50,11 +54,6 @@ class DataDescription:
     radius_sq: float
     sv_indices: np.ndarray = field(repr=False)
     boundary_sv_indices: np.ndarray = field(repr=False)
-
-
-def dual_objective(gram, alpha):
-    """Value of the dual objective at alpha (used by the solver and its tests)."""
-    return float(np.dot(alpha, np.diag(gram)) - alpha @ gram @ alpha)
 
 
 def _pair_sweep(diag, gram, alpha, grad, C):
@@ -193,13 +192,20 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     return AlphaVector(alpha=alpha, C=c_bound)
 
 
+def _dist_sq(y, center):
+    """Squared distance of every column of y to the center."""
+    return ((y - center[:, None]) ** 2).sum(axis=0)
+
+
 def describe(alpha: AlphaVector, y):
     """Build the hypersphere description from the dual solution.
 
     ``y`` holds the projected training data, one column per sample. The
     squared radius is the mean squared distance of the boundary support
-    vectors to the center; when no boundary support vector exists it falls
-    back to the maximum over all support vectors.
+    vectors to the center. When no boundary support vector exists, any R^2 in
+    [max d_i over a_i < C, min d_j over a_j > 0] is primal-optimal; R^2 is the
+    midpoint of that interval (LIBSVM's rule), with the lower end 0 when every
+    a_i sits at C.
     """
     y_mat = np.asarray(y, dtype=np.float64)
     a = alpha.alpha
@@ -211,13 +217,15 @@ def describe(alpha: AlphaVector, y):
     sv = np.nonzero(a > eps)[0]
     if sv.size == 0:
         raise NoSupportVectors("all alpha_i below the support-vector threshold")
-    boundary = sv[a[sv] < alpha.C - eps]
+    below_c = a < alpha.C - eps
+    boundary = sv[below_c[sv]]
     center = y_mat @ a
-    dist_sq = ((y_mat - center[:, None]) ** 2).sum(axis=0)
+    dist_sq = _dist_sq(y_mat, center)
     if boundary.size:
         radius_sq = float(dist_sq[boundary].mean())
     else:
-        radius_sq = float(dist_sq[sv].max())
+        lower = float(dist_sq[below_c].max()) if below_c.any() else 0.0
+        radius_sq = 0.5 * (lower + float(dist_sq[sv].min()))
     return DataDescription(
         alpha=alpha,
         center=center,
@@ -227,30 +235,17 @@ def describe(alpha: AlphaVector, y):
     )
 
 
-def decide(y_star, desc: DataDescription, y_train, alpha: AlphaVector):
-    """Classify one point by its squared distance to the description center.
+def decide_batch(y_new, desc: DataDescription):
+    """Classify a d x M block of projected points by distance to the center.
 
-    The distance is computed through the Gram expansion
-    y*'y* - 2 sum_i a_i y*'y_i + sum_ij a_i a_j y_i'y_j, so only inner
-    products with the training data are needed. Returns (distance_sq,
-    positive) with positive True iff distance_sq <= radius_sq.
+    Returns (distance_sq, positive) per column, with positive True iff
+    ||y - c||^2 <= R^2. The distance is formed as in ``describe``.
     """
-    dist, pos = decide_batch(np.asarray(y_star, dtype=np.float64)[:, None], desc, y_train, alpha)
-    return float(dist[0]), bool(pos[0])
-
-
-def decide_batch(y_new, desc: DataDescription, y_train, alpha: AlphaVector):
-    """Vectorized ``decide`` for a d x M block of points."""
-    y_mat = np.asarray(y_train, dtype=np.float64)
     pts = np.asarray(y_new, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] != y_mat.shape[0]:
+    dim = desc.center.shape[0]
+    if pts.ndim != 2 or pts.shape[0] != dim:
         raise DimensionMismatch(
-            f"test block {pts.shape} does not match training dimension {y_mat.shape[0]}"
+            f"test block {pts.shape} does not match center dimension {dim}"
         )
-    a = alpha.alpha
-    if y_mat.shape[1] != a.shape[0]:
-        raise DimensionMismatch("training data and alpha disagree on N")
-    ya = y_mat @ a
-    const = float(a @ (y_mat.T @ ya))  # sum_ij a_i a_j y_i'y_j
-    dist_sq = (pts * pts).sum(axis=0) - 2.0 * (pts.T @ ya) + const
+    dist_sq = _dist_sq(pts, desc.center)
     return dist_sq, dist_sq <= desc.radius_sq

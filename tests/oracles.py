@@ -1,0 +1,64 @@
+"""Brute-force reference computations the tests compare the package against.
+
+None of these is used by the package itself: each recomputes a quantity
+from its definition, slowly and without the package's shortcuts.
+"""
+import numpy as np
+
+from subsvdd.errors import DimensionMismatch
+from subsvdd.numerics import as_matrix, damped_pinv_factor
+
+HESSIAN_FULL_CAP = 2500  # hard cap on d*D for the brute-force assembly
+
+
+class TooLarge(Exception):
+    """Input exceeds the brute-force assembly's size cap."""
+
+
+def hessian_full(x, alpha_values, lam, beta, mode, d):
+    """Brute-force dD x dD Hessian via literal structure-matrix assembly.
+
+    Entry ((i,j),(k,l)) is 2 tr[X M X' (S^ij)' S^kl] with S^ij the single-entry
+    d x D matrix and M = diag(a) - aa' + w lam lam' (w = 1 as written, beta
+    when consistent). Refuses d*D > HESSIAN_FULL_CAP.
+    """
+    x_mat = np.asarray(x, dtype=np.float64)
+    big_d = x_mat.shape[0]
+    if d * big_d > HESSIAN_FULL_CAP:
+        raise TooLarge(f"d*D = {d * big_d} exceeds cap {HESSIAN_FULL_CAP}")
+    weight = 1.0 if mode == "as_written" else beta
+    a = np.asarray(alpha_values, dtype=np.float64)
+    lam_v = np.asarray(lam, dtype=np.float64)
+    core = np.diag(a) - np.outer(a, a) + weight * np.outer(lam_v, lam_v)
+    g_mat = x_mat @ core @ x_mat.T
+    g_mat = 0.5 * (g_mat + g_mat.T)  # X M X' is symmetric; enforce it exactly
+    n_flat = d * big_d
+    h_full = np.empty((n_flat, n_flat))
+    for i in range(d):
+        for j in range(big_d):
+            s_ij = np.zeros((d, big_d))
+            s_ij[i, j] = 1.0
+            row = i * big_d + j
+            for k in range(d):
+                for l_col in range(big_d):
+                    s_kl = np.zeros((d, big_d))
+                    s_kl[k, l_col] = 1.0
+                    h_full[row, k * big_d + l_col] = 2.0 * np.trace(
+                        g_mat @ s_ij.T @ s_kl
+                    )
+    return h_full
+
+
+def solve_damped(h, g, mu=0.0, rel_tol=1e-10):
+    """Minimum-norm least-squares solve of (H + mu*I) x = g for symmetric H."""
+    a = as_matrix(h, "h")
+    rhs = np.asarray(g, dtype=np.float64)
+    if rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"rhs length {rhs.shape} does not match H {a.shape}")
+    u, inv = damped_pinv_factor(a, mu=mu, rel_tol=rel_tol)
+    return u @ (inv * (u.T @ rhs))
+
+
+def dual_objective(gram, alpha):
+    """Value of the SVDD dual objective at alpha."""
+    return float(np.dot(alpha, np.diag(gram)) - alpha @ gram @ alpha)

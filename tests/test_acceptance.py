@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, make_blobs
+from oracles import dual_objective, hessian_full
 from test_svdd import simplex_grid_max
 from test_subspace import fd_gradient, fd_hessian, random_instance
 
@@ -27,11 +28,10 @@ from subsvdd.subspace import (
     build_lambda,
     gradient,
     hessian_core,
-    hessian_full,
     newton_step,
     train,
 )
-from subsvdd.svdd import describe, dual_objective, solve_dual
+from subsvdd.svdd import describe, solve_dual
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -12,7 +12,6 @@ from subsvdd.kernel import (
     center_kernel,
     npt_fit,
     npt_map,
-    npt_map_test,
     rbf_kernel,
 )
 
@@ -102,12 +101,6 @@ class TestNptMap:
         mapped = npt_map(x, basis)
         assert np.abs(mapped - basis.phi).max() < 1e-6
 
-    def test_single_point_wrapper(self, rng):
-        x = rng.standard_normal((3, 10))
-        basis = build_npt(x, 0.8)
-        v = npt_map_test(x[:, 4], basis)
-        np.testing.assert_allclose(v, basis.phi[:, 4], atol=1e-6)
-
     def test_identical_training_data_maps_to_zero(self):
         x = np.ones((2, 4))
         with pytest.raises(ZeroKernel):
@@ -117,16 +110,16 @@ class TestNptMap:
     def test_deterministic(self, rng):
         x = rng.standard_normal((3, 12))
         basis = build_npt(x, 2.0)
-        p = rng.standard_normal(3)
-        v1 = npt_map_test(p, basis)
-        v2 = npt_map_test(p, basis)
+        p = rng.standard_normal((3, 1))
+        v1 = npt_map(p, basis)
+        v2 = npt_map(p, basis)
         assert np.array_equal(v1, v2)
         assert np.all(np.isfinite(v1))
 
     def test_dimension_mismatch(self, rng):
         basis = build_npt(rng.standard_normal((3, 8)), 1.0)
         with pytest.raises(DimensionMismatch):
-            npt_map_test(np.zeros(5), basis)
+            npt_map(np.zeros((5, 1)), basis)
 
 
 class TestRankClamp:

@@ -11,7 +11,7 @@ from subsvdd.errors import (
     VersionError,
 )
 from subsvdd.model_store import load, predict, save
-from subsvdd.pipeline import MethodSpec, fit_occ_model
+from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
 
 def linear_model(seed=0, zscore=False):
@@ -53,6 +53,24 @@ class TestRoundTrip:
         d1, l1 = predict(model, probes)
         d2, l2 = predict(loaded, probes)
         assert np.array_equal(d1, d2)
+        assert np.array_equal(l1, l2)
+
+    @pytest.mark.parametrize("method", ["svdd-rbf", "nssvdd-rbf-psi2-min"])
+    def test_rbf_on_column_slice_predictions_identical(self, tmp_path, rng, method):
+        # what evaluate passes: a column selection of a row-per-feature matrix,
+        # which is not C-ordered, while a loaded model's arrays are
+        features = rng.standard_normal((120, 34)).T
+        x_train = features[:, rng.permutation(120)[:60]]
+        assert not x_train.flags["C_CONTIGUOUS"]
+        model, _ = fit_occ_model(
+            x_train, parse_method(method), C=0.05, d=5, sigma=6.0, k_max=5, seed=2
+        )
+        path = tmp_path / "m.json"
+        save(model, path)
+        probes = rng.standard_normal((34, 200))
+        d1, l1 = predict(model, probes)
+        d2, l2 = predict(load(path), probes)
+        assert d1.tobytes() == d2.tobytes()
         assert np.array_equal(l1, l2)
 
     def test_zscore_scaling_persisted(self, tmp_path, rng):
@@ -149,8 +167,6 @@ class TestPredict:
         model = linear_model()
         probes = rng.standard_normal((5, 30))
         d1, l1 = predict(model, probes)
-        d2, l2 = decide_batch(
-            model.q @ probes, model.description, model.y_train, model.description.alpha
-        )
+        d2, l2 = decide_batch(model.q @ probes, model.description)
         assert np.array_equal(d1, d2)
         assert np.array_equal(l1, l2)

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from subsvdd.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroRow
+from oracles import solve_damped
 from subsvdd.numerics import (
-    pinv,
+    damped_pinv_factor,
     qr_orthonormalize_rows,
     row_normalize_l2,
-    solve_damped,
     sym_eig,
 )
+
+
+def pinv(m, rel_tol=1e-10):
+    """The pseudo-inverse U diag(inv) U' that the Newton step applies."""
+    u, inv = damped_pinv_factor(m, rel_tol=rel_tol)
+    return (u * inv) @ u.T
 
 
 class TestQrOrthonormalizeRows:
@@ -100,13 +106,15 @@ class TestSymEig:
 
 
 class TestPinv:
+    """Pseudo-inverse of symmetric matrices from ``damped_pinv_factor``."""
+
     def test_invertible_diagonal(self):
         np.testing.assert_allclose(
             pinv(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14
         )
 
     def test_zero_matrix(self):
-        np.testing.assert_allclose(pinv(np.zeros((3, 2))), np.zeros((2, 3)))
+        np.testing.assert_allclose(pinv(np.zeros((3, 3))), np.zeros((3, 3)))
 
     def test_rank_one(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -118,7 +126,8 @@ class TestPinv:
 
     def test_penrose_conditions_random(self, rng):
         for shape in ((5, 5), (20, 8), (8, 20), (50, 50)):
-            m = rng.standard_normal(shape)
+            a = rng.standard_normal(shape)
+            m = a @ np.diag(rng.choice([-1.0, 1.0], shape[1])) @ a.T  # rank <= min(shape)
             p = pinv(m)
             scale = np.linalg.norm(m)
             assert np.linalg.norm(m @ p @ m - m) <= 1e-8 * max(scale, 1.0)

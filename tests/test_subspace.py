@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from subsvdd.errors import DimensionMismatch, InfeasibleC, TooLarge
-from subsvdd.numerics import solve_damped
+from oracles import TooLarge, hessian_full, solve_damped
+from subsvdd.errors import DimensionMismatch, InfeasibleC
 from subsvdd.subspace import (
-    ProjectionState,
     RegularizationSpec,
     TrainConfig,
     apply_update,
     build_lambda,
     gradient,
     hessian_core,
-    hessian_full,
     init_projection,
     newton_step,
     objective,
@@ -220,10 +218,9 @@ class TestHessian:
 class TestUpdateStep:
     def test_eta_tiny_keeps_q_up_to_sign(self):
         q, x, alpha, lam = random_instance(5)
-        state = ProjectionState(q=q, iteration=0, direction="min")
         cfg = TrainConfig(d=2, C=0.4, eta=1e-300, optimizer="gradient", k_max=2)
-        new = update_step(state, gradient(q, x, alpha.alpha, lam, 1.0), None, cfg)
-        np.testing.assert_allclose(np.abs(new.q), np.abs(q), atol=1e-10)
+        new = update_step(q, gradient(q, x, alpha.alpha, lam, 1.0), None, cfg)
+        np.testing.assert_allclose(np.abs(new), np.abs(q), atol=1e-10)
 
     def test_newton_consistent_collapses_to_scaled_q(self):
         # with the beta-consistent Hessian and full-rank B the Newton step is
@@ -262,30 +259,38 @@ class TestUpdateStep:
         q = _orthonormalize_with_recovery(bad, gen)
         np.testing.assert_allclose(q @ q.T, np.eye(2), atol=1e-10)
 
-    def test_update_step_propagates_rank_deficiency(self):
-        from subsvdd.errors import RankDeficient
-
-        q = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        state = ProjectionState(q=q, iteration=0, direction="min")
-        cfg = TrainConfig(d=2, C=0.5, eta=1.0, optimizer="gradient", k_max=2)
-        # step engineered so that q - eta*step has two identical rows
-        step = q - np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(RankDeficient):
-            update_step(state, step, None, cfg)
-
     def test_gradient_step_matches_hand_computation(self):
-        from subsvdd.numerics import qr_orthonormalize_rows, row_normalize_l2
-
         q, x, alpha, lam = random_instance(8)
         g = gradient(q, x, alpha.alpha, lam, 1.0)
         cfg = TrainConfig(d=2, C=0.4, eta=0.05, optimizer="gradient", k_max=2)
-        state = ProjectionState(q=q, iteration=0, direction="min")
-        new = update_step(state, g, None, cfg)
-        by_hand = row_normalize_l2(qr_orthonormalize_rows(q - 0.05 * g))
-        np.testing.assert_allclose(new.q, by_hand, atol=1e-12)
+        np.testing.assert_allclose(update_step(q, g, None, cfg), q - 0.05 * g, atol=1e-12)
+
+    def test_newton_step_matches_hand_computation(self):
+        q, x, alpha, lam = random_instance(8)
+        g = gradient(q, x, alpha.alpha, lam, 1.0)
+        b = hessian_core(x, alpha.alpha, lam, 1.0, "as_written")
+        cfg = TrainConfig(d=2, C=0.4, eta=0.05, direction="max", damping=0.1, k_max=2)
+        by_hand = q + 0.05 * newton_step(g, b, mu=0.1)
+        np.testing.assert_allclose(update_step(q, g, b, cfg), by_hand, atol=1e-12)
 
 
 class TestTrain:
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_plain_svdd_keeps_identity_projection(self, kernel):
+        from subsvdd.pipeline import fit_occ_model, parse_method
+
+        target, outlier = make_blobs(seed=4, n_target=30, n_outlier=10)
+        x_eval = np.hstack([target[:, 20:], outlier])
+        truth = np.arange(x_eval.shape[1]) < 10
+        model, trace = fit_occ_model(
+            target[:, :20], parse_method(f"svdd-{kernel}"), C=0.2, sigma=3.0,
+            k_max=7, eval_data=(x_eval, truth),
+        )
+        assert np.array_equal(model.q, np.eye(model.q.shape[1]))
+        assert [(r.iteration, r.orth_error) for r in trace] == [(1, 0.0)]
+        assert trace[0].gmean is not None
+        assert model.config["k_max"] == 7 and model.config["optimizer"] is None
+
     def test_k_max_one_is_svdd_on_random_subspace(self):
         gen = np.random.default_rng(21)
         x = gen.standard_normal((5, 20))
@@ -353,7 +358,7 @@ class TestTrain:
             direction="min", optimizer="newton", k_max=20, seed=42,
         )
         fit = train(x_train, cfg)
-        _, pos = decide_batch(fit.q @ x_eval, fit.description, fit.y_train, fit.description.alpha)
+        _, pos = decide_batch(fit.q @ x_eval, fit.description)
         from subsvdd.metrics import confusion_from_labels, gmean
 
         assert gmean(confusion_from_labels(truth, pos)) >= 0.95

@@ -6,14 +6,8 @@ from subsvdd.errors import (
     InfeasibleC,
     NoSupportVectors,
 )
-from subsvdd.svdd import (
-    AlphaVector,
-    decide,
-    decide_batch,
-    describe,
-    dual_objective,
-    solve_dual,
-)
+from oracles import dual_objective
+from subsvdd.svdd import AlphaVector, decide_batch, describe, solve_dual
 
 
 def simplex_grid_max(gram, c_bound, step=1e-3):
@@ -166,6 +160,27 @@ class TestDescribe:
         assert desc.radius_sq == 0.0
         assert desc.boundary_sv_indices.size == 0
 
+    def test_radius_without_boundary_sv_is_primal_optimal(self):
+        # both outer points sit at C, the inner two at 0: no boundary support
+        # vector, so every R^2 in [0.01, 1] is optimal; R^2 is the midpoint
+        y = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.1, -0.1]])
+        av = AlphaVector(alpha=np.array([0.5, 0.5, 0.0, 0.0]), C=0.5)
+        desc = describe(av, y)
+        assert desc.boundary_sv_indices.size == 0
+        assert desc.radius_sq == pytest.approx(0.505)
+        dist = ((y - desc.center[:, None]) ** 2).sum(axis=0)
+
+        def primal(r2):
+            return r2 + av.C * np.maximum(dist - r2, 0.0).sum()
+
+        assert primal(desc.radius_sq) == pytest.approx(min(primal(r) for r in dist))
+
+    def test_radius_when_every_alpha_at_c(self):
+        av = AlphaVector(alpha=np.array([0.5, 0.5]), C=0.5)
+        desc = describe(av, np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        assert desc.boundary_sv_indices.size == 0
+        assert desc.radius_sq == pytest.approx(0.5)
+
     def test_no_support_vectors_defensive(self):
         av = AlphaVector(alpha=np.zeros(3), C=1.0)
         with pytest.raises(NoSupportVectors):
@@ -191,34 +206,24 @@ class TestDecide:
     def _desc(self):
         y = np.array([[-1.0, 1.0], [0.0, 0.0]])
         av = AlphaVector(alpha=np.array([0.5, 0.5]), C=1.0)
-        return describe(av, y), y, av
+        return describe(av, y)
 
     def test_center_is_positive(self):
-        desc, y, av = self._desc()
-        dist, pos = decide(desc.center, desc, y, av)
-        assert dist == pytest.approx(0.0, abs=1e-12)
-        assert pos
+        desc = self._desc()
+        dist, pos = decide_batch(desc.center[:, None], desc)
+        assert dist[0] == pytest.approx(0.0, abs=1e-12)
+        assert pos[0]
 
     def test_far_point_negative(self):
-        desc, y, av = self._desc()
-        dist, pos = decide(np.array([0.0, 3.0]), desc, y, av)
-        assert dist == pytest.approx(9.0)
-        assert not pos
-
-    def test_expansion_matches_direct_distance(self, rng):
-        y = rng.standard_normal((3, 12))
-        av = solve_dual(y.T @ y, 0.3)
-        desc = describe(av, y)
-        for _ in range(25):
-            p = rng.standard_normal(3)
-            dist, _ = decide(p, desc, y, av)
-            direct = float(((p - desc.center) ** 2).sum())
-            assert dist == pytest.approx(direct, abs=1e-10 * (1 + direct))
+        desc = self._desc()
+        dist, pos = decide_batch(np.array([[0.0], [3.0]]), desc)
+        assert dist[0] == pytest.approx(9.0)
+        assert not pos[0]
 
     def test_dimension_mismatch(self):
-        desc, y, av = self._desc()
+        desc = self._desc()
         with pytest.raises(DimensionMismatch):
-            decide(np.array([1.0, 2.0, 3.0]), desc, y, av)
+            decide_batch(np.array([[1.0], [2.0], [3.0]]), desc)
 
     def test_translation_covariance_end_to_end(self, rng):
         y = rng.standard_normal((2, 15))
@@ -231,6 +236,6 @@ class TestDecide:
         np.testing.assert_allclose(d2.center, d1.center + t, atol=1e-8)
         assert d2.radius_sq == pytest.approx(d1.radius_sq, abs=1e-8)
         probes = rng.standard_normal((2, 30))
-        _, lab1 = decide_batch(probes, d1, y, av1)
-        _, lab2 = decide_batch(probes + t[:, None], d2, yt, av2)
+        _, lab1 = decide_batch(probes, d1)
+        _, lab2 = decide_batch(probes + t[:, None], d2)
         assert np.array_equal(lab1, lab2)
