@@ -51,10 +51,8 @@ def qr_orthonormalize_rows(m):
             f"numerical row rank < {d} (rows {bad.tolist()} dependent)", rows=bad.tolist()
         )
     out = q.T.copy()
-    for i in range(d):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0.0:
-            out[i] = -out[i]
+    flip = out[np.arange(d), np.argmax(np.abs(out), axis=1)] < 0.0
+    out[flip] = -out[flip]
     return out
 
 

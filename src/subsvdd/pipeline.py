@@ -20,7 +20,7 @@ from .kernel import build_npt, npt_map
 from .metrics import confusion_from_labels, gmean
 from .model_store import TrainedModel
 from .subspace import TrainConfig, train
-from .svdd import decide_batch
+from .svdd import check_feasible_c, decide_batch
 
 log = logging.getLogger("subsvdd")
 
@@ -103,6 +103,8 @@ def fit_occ_model(
     x_raw = np.asarray(features, dtype=np.float64)
     if x_raw.ndim != 2:
         raise DimensionMismatch("training features must be a D x N matrix")
+    # before the scaling and the O(N^3) kernel basis, which C < 1/N would waste
+    check_feasible_c(C, x_raw.shape[1])
     scaling = None
     work = x_raw
     if zscore:

@@ -13,6 +13,12 @@ B = 2 X (diag(a) - aa' + w * lam lam') X', so the Newton solve reduces to d
 independent D x D systems. ``update_step`` is the one step both optimizers
 take; after it Q is re-orthonormalized (QR) and row-normalized.
 
+B and the gradient are formed at the a-weighted mean m = X a: because
+sum(a) = 1, X (diag(a) - aa') X' = X_c diag(a) X_c' with X_c = X - m 1',
+summed over the support columns (a_i > 0) only. This needs no N x N matrix,
+and it does not subtract two large terms when the data lie far from the
+origin. The lam lam' part uses X as it is.
+
 The dual in each subspace is solved on the Gram matrix of the centered
 projections, which is exact because sum(a) = 1 and keeps the solution
 independent of where the origin lies. The center (Y a), the objective and
@@ -29,9 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSubspace, DimensionMismatch, InfeasibleC, RankDeficient
+from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
 from .numerics import damped_pinv_factor, qr_orthonormalize_rows, row_normalize_l2
-from .svdd import SV_EPS_FACTOR, AlphaVector, DataDescription, describe, solve_dual
+from .svdd import (
+    SV_EPS_FACTOR,
+    AlphaVector,
+    DataDescription,
+    check_feasible_c,
+    describe,
+    solve_dual,
+)
 
 REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
 DIRECTIONS = ("min", "max")
@@ -146,37 +159,45 @@ def objective(q, x, alpha_values, lam, beta):
     return float(a @ sq_norms - ya @ ya + beta * (yl @ yl))
 
 
-def gradient(q, x, alpha_values, lam, beta):
-    """Gradient of L with respect to Q: 2 Q X (diag(a) - aa' + beta*lam lam') X'."""
-    y = project(q, x)
-    a = np.asarray(alpha_values, dtype=np.float64)
-    lam_v = np.asarray(lam, dtype=np.float64)
-    if a.shape[0] != y.shape[1] or lam_v.shape[0] != y.shape[1]:
-        raise DimensionMismatch("alpha/lambda length does not match sample count")
-    x_mat = np.asarray(x, dtype=np.float64)
-    xa = x_mat @ a
-    xl = x_mat @ lam_v
-    return 2.0 * (
-        (y * a) @ x_mat.T - np.outer(y @ a, xa) + beta * np.outer(y @ lam_v, xl)
-    )
-
-
-def hessian_core(x, alpha_values, lam, beta, mode="as_written"):
-    """The D x D block B of the Hessian; the full Hessian is I_d kron B.
-
-    ``as_written`` weights lam lam' by 1; ``consistent`` weights it by beta so
-    that B is the true second derivative of the beta-weighted objective.
-    """
-    if mode not in HESSIAN_BETA_MODES:
-        raise ValueError(f"mode must be one of {HESSIAN_BETA_MODES}")
+def _support_centered(x, alpha_values, lam):
+    """Validated (X, lam, a_s, X_s): the weights a_s of the columns with
+    a_i != 0 and those columns centered at the a-weighted mean X a. The other
+    columns add nothing to X (diag(a) - aa') X'."""
     x_mat = np.asarray(x, dtype=np.float64)
     a = np.asarray(alpha_values, dtype=np.float64)
     lam_v = np.asarray(lam, dtype=np.float64)
     if x_mat.ndim != 2 or a.shape[0] != x_mat.shape[1] or lam_v.shape[0] != x_mat.shape[1]:
         raise DimensionMismatch("alpha/lambda length does not match sample count")
+    sv = np.flatnonzero(a)
+    a_s, x_s = a[sv], x_mat[:, sv]
+    x_s -= (x_s @ a_s)[:, None]
+    return x_mat, lam_v, a_s, x_s
+
+
+def gradient(q, x, alpha_values, lam, beta):
+    """Gradient of L with respect to Q: 2 Q X (diag(a) - aa' + beta*lam lam') X'.
+
+    Formed as 2 [(Q X_c) diag(a) X_c' + beta (Q X lam)(X lam)'] (sum(a) = 1).
+    """
+    x_mat, lam_v, a_s, xc = _support_centered(x, alpha_values, lam)
+    q_mat = np.asarray(q, dtype=np.float64)
+    xl = x_mat @ lam_v
+    return 2.0 * ((project(q_mat, xc) * a_s) @ xc.T + beta * np.outer(q_mat @ xl, xl))
+
+
+def hessian_core(x, alpha_values, lam, beta, mode="as_written"):
+    """The D x D block B of the Hessian; the full Hessian is I_d kron B.
+
+    B = 2 [X_c diag(a) X_c' + w (X lam)(X lam)'] (sum(a) = 1). ``as_written``
+    weights lam lam' by w = 1; ``consistent`` by w = beta, so that B is the
+    true second derivative of the beta-weighted objective.
+    """
+    if mode not in HESSIAN_BETA_MODES:
+        raise ValueError(f"mode must be one of {HESSIAN_BETA_MODES}")
+    x_mat, lam_v, a_s, xc = _support_centered(x, alpha_values, lam)
     weight = 1.0 if mode == "as_written" else beta
-    core = np.diag(a) - np.outer(a, a) + weight * np.outer(lam_v, lam_v)
-    g = x_mat @ core @ x_mat.T
+    xl = x_mat @ lam_v
+    g = (xc * a_s) @ xc.T + weight * np.outer(xl, xl)
     # g + g' supplies the factor 2 and scrubs the (tiny) numerical asymmetry
     # of the matrix product, keeping B bitwise symmetric
     return g + g.T
@@ -260,8 +281,7 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         raise DimensionMismatch("need at least 2 training samples")
     if cfg.d > big_d:
         raise DimensionMismatch(f"subspace dimension {cfg.d} exceeds data dimension {big_d}")
-    if cfg.C * n < 1.0 - 1e-9:
-        raise InfeasibleC(f"C = {cfg.C} < 1/N = {1.0 / n}")
+    check_feasible_c(cfg.C, n)
 
     rng = np.random.default_rng(cfg.seed)
     if q0 is None:

@@ -62,3 +62,22 @@ def solve_damped(h, g, mu=0.0, rel_tol=1e-10):
 def dual_objective(gram, alpha):
     """Value of the SVDD dual objective at alpha."""
     return float(np.dot(alpha, np.diag(gram)) - alpha @ gram @ alpha)
+
+
+def pair_sweep_full(diag, gram, alpha, grad, C):
+    """Best pairwise exchange of the SVDD dual, scoring all N x N pairs.
+
+    Same contract as ``svdd._pair_sweep``: (i, j, t, gain) for moving mass
+    t >= 0 from j to i, the first row-major maximum of the gain. The step is
+    the clipped optimum of num*t - den*t^2, num = grad_i - grad_j and
+    den = G_ii + G_jj - 2 G_ij, with t <= min(alpha_j, C - alpha_i).
+    """
+    num = grad[:, None] - grad[None, :]
+    den = diag[:, None] + diag[None, :] - 2.0 * gram
+    t_hi = np.maximum(np.minimum(alpha[None, :], C - alpha[:, None]), 0.0)
+    t = np.minimum(np.maximum(num / (2.0 * np.maximum(den, 1e-30)), 0.0), t_hi)
+    t[num <= 0.0] = 0.0
+    gain = num * t - den * t * t
+    np.fill_diagonal(gain, 0.0)
+    i, j = divmod(int(np.argmax(gain)), alpha.shape[0])
+    return i, j, float(t[i, j]), float(gain[i, j])

@@ -46,6 +46,23 @@ class TestQrOrthonormalizeRows:
             for row in q:
                 assert row[np.argmax(np.abs(row))] >= 0.0
 
+    def test_row_signs_match_row_by_row_rule(self, rng):
+        # the rule applied one row at a time; ties go to the first index
+        def by_loop(m):
+            out = np.linalg.qr(m.T)[0].T.copy()
+            for i in range(out.shape[0]):
+                j = int(np.argmax(np.abs(out[i])))
+                if out[i, j] < 0.0:
+                    out[i] = -out[i]
+            return out
+
+        tied = [np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -2.0, 2.0]]),
+                np.array([[1.0, -1.0, 1.0], [-3.0, 0.0, 3.0]])]
+        signs = [rng.choice([-1.0, 1.0], (3, 6)) for _ in range(10)]
+        normal = [rng.standard_normal((d, 8)) for d in (1, 3, 8)]
+        for m in tied + signs + normal:
+            assert np.array_equal(qr_orthonormalize_rows(m), by_loop(m))
+
     def test_rank_deficient_raises_with_rows(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(RankDeficient) as exc:

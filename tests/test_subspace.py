@@ -323,6 +323,19 @@ class TestTrain:
         with pytest.raises(InfeasibleC):
             train(x, TrainConfig(d=1, C=0.05, k_max=2))
 
+    def test_infeasible_c_raises_before_kernel_basis(self, monkeypatch):
+        from subsvdd import pipeline
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("build_npt called for an infeasible C")
+
+        monkeypatch.setattr(pipeline, "build_npt", no_basis)
+        x = np.random.default_rng(6).standard_normal((3, 20))
+        for method in ("svdd-rbf", "nssvdd-rbf-psi2-min"):
+            with pytest.raises(InfeasibleC):
+                pipeline.fit_occ_model(x, pipeline.parse_method(method), C=0.04, d=2,
+                                       sigma=1.0, zscore=True)
+
     def test_gradient_traces_reproducible_bitwise(self):
         gen = np.random.default_rng(5)
         x = gen.standard_normal((5, 18))

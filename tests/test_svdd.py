@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subsvdd import svdd
 from subsvdd.errors import (
     DimensionMismatch,
     InfeasibleC,
     NoSupportVectors,
 )
-from oracles import dual_objective
-from subsvdd.svdd import AlphaVector, decide_batch, describe, solve_dual
+from oracles import dual_objective, pair_sweep_full
+from subsvdd.pipeline import fit_occ_model, parse_method
+from subsvdd.svdd import AlphaVector, _pair_sweep, decide_batch, describe, solve_dual
 
 
 def simplex_grid_max(gram, c_bound, step=1e-3):
@@ -143,6 +147,75 @@ class TestSolveDual:
         a1 = solve_dual(g1, 0.3).alpha
         a2 = solve_dual(g2, 0.3).alpha
         np.testing.assert_allclose(a1, a2, atol=1e-9)
+
+
+# alpha entries are multiples of 1/UNITS, so sum(alpha) = 1 and the bounds
+# 0 and C hold exactly
+UNITS = 64
+
+
+@st.composite
+def sweep_instances(draw):
+    """A PSD Gram matrix (possibly rank-deficient, with duplicated points), a
+    feasible alpha with entries exactly at 0 and at C, and the dual gradient."""
+    n = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = gen.integers(-2, 3, (rank, n)).astype(float)  # ties in the gradient
+    else:
+        pts = gen.standard_normal((rank, n))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        pts[:, dst] = pts[:, src]
+    gram = pts.T @ pts
+    cap = draw(st.integers(-(-UNITS // n), UNITS))
+    counts = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
+    # move units onto or off the entries in turn until they sum to UNITS;
+    # cap * n >= UNITS, so this stays within [0, cap]
+    excess = sum(counts) - UNITS
+    for k in range(n):
+        move = max(-counts[k], min(cap - counts[k], -excess))
+        counts[k] += move
+        excess += move
+    alpha = np.array(counts, dtype=float) / UNITS
+    diag = np.diag(gram).copy()
+    return diag, gram, alpha, diag - 2.0 * gram @ alpha, cap / UNITS
+
+
+class TestPairSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_instances())
+    def test_block_matches_full_sweep(self, instance):
+        diag, gram, alpha, grad, c = instance
+        assert alpha.sum() == 1.0 and alpha.min() >= 0.0 and alpha.max() <= c
+        full = pair_sweep_full(diag, gram, alpha, grad, c)
+        block = _pair_sweep(diag, gram, alpha, grad, c)
+        if full[3] > 0.0:
+            assert block == full
+        else:
+            assert block[3] == 0.0
+
+    def test_full_sweep_gives_bit_identical_fit(self, monkeypatch):
+        gen = np.random.default_rng(400)
+        x = gen.standard_normal((10, 400)) * gen.uniform(0.5, 2.0, (10, 1))
+        spec = parse_method("nssvdd-linear-psi2-min")
+        kw = dict(C=0.01, d=3, k_max=4, seed=1)
+        model, _ = fit_occ_model(x, spec, **kw)
+        gains = []
+
+        def full(*args):
+            out = pair_sweep_full(*args)
+            gains.append(out[3])
+            return out
+
+        monkeypatch.setattr(svdd, "_pair_sweep", full)
+        swapped, _ = fit_occ_model(x, spec, **kw)
+        # one certificate per dual solve; their best pairs gain (below tol)
+        assert len(gains) == kw["k_max"] and min(gains) > 0.0
+        assert np.array_equal(model.q, swapped.q)
+        assert np.array_equal(model.description.alpha.alpha, swapped.description.alpha.alpha)
+        assert model.description.radius_sq == swapped.description.radius_sq
 
 
 class TestDescribe:
