@@ -92,27 +92,3 @@ def sym_eig(s):
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1]
     return EigDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
-
-
-def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
-    """Factor (H + mu*I)^+ for symmetric H as (U, inv_eigenvalues).
-
-    Eigenvalues of the damped matrix with |lambda + mu| below
-    rel_tol * max|lambda + mu| are inverted to zero, so a singular (or
-    indefinite) H is handled without error. Applying the factor to a vector g
-    as U (inv * (U' g)) gives the minimum-norm least-squares solution of
-    (H + mu*I) x = g.
-    """
-    if mu < 0.0:
-        raise ValueError("mu must be >= 0")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    eig = sym_eig(h)
-    lam = eig.eigenvalues + mu
-    scale = np.abs(lam).max() if lam.size else 0.0
-    inv = np.zeros_like(lam)
-    if scale > 0.0:
-        keep = np.abs(lam) >= rel_tol * scale
-        inv[keep] = 1.0 / lam[keep]
-    return eig.eigenvectors, inv
-

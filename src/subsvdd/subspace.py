@@ -10,20 +10,29 @@ with Psi = Tr(Q X lam lam' X' Q'), either directly (gradient optimizer) or
 preconditioned by the Hessian (newton optimizer). Under row-major
 vectorization the Hessian is block diagonal, H = I_d kron B with
 B = 2 X (diag(a) - aa' + w * lam lam') X', so the Newton solve reduces to d
-independent D x D systems. ``update_step`` is the one step both optimizers
+systems with one matrix B. ``update_step`` is the one step both optimizers
 take; after it Q is re-orthonormalized (QR) and row-normalized.
 
-B and the gradient are formed at the a-weighted mean m = X a: because
-sum(a) = 1, X (diag(a) - aa') X' = X_c diag(a) X_c' with X_c = X - m 1',
-summed over the support columns (a_i > 0) only. This needs no N x N matrix,
-and it does not subtract two large terms when the data lie far from the
-origin. The lam lam' part uses X as it is.
+B and the gradient are formed at the a-weighted mean X a: because
+sum(a) = 1, X (diag(a) - aa') X' = M_s M_s' with M_s = X_c diag(sqrt(a_s)),
+the support columns (a_i > 0) of X_c = X - (X a) 1' scaled by sqrt(a_i).
+``support_block`` builds M_s once per iteration for both. This needs no
+N x N matrix, and it does not subtract two large terms when the data lie far
+from the origin. The lam lam' part uses X as it is.
+
+B is never formed: ``hessian_core`` returns its factor M = [M_s, sqrt(w) X lam],
+B = 2 M M', of rank at most s + 1 for s support vectors. ``newton_step``
+eigendecomposes the smaller of the two Grams of M, the (s+1) x (s+1) M'M
+when s + 1 < D (B's eigenvectors are then M V Lambda^{-1/2}) and MM'
+otherwise, so a fit with few support vectors in a large feature space (the
+rbf eigenmap) pays for its support, not for D.
 
 The dual in each subspace is solved on the Gram matrix of the centered
 projections, which is exact because sum(a) = 1 and keeps the solution
-independent of where the origin lies. The center (Y a), the objective and
-the regularizers use the projections as they are: Psi depends on the origin
-by definition. Plain SVDD is this fit with Q = I held fixed (k_max = 1).
+independent of where the origin lies; the objective's SVDD part is likewise
+formed on projections centered at Y a. The center (Y a) and the regularizers
+use the projections as they are: Psi depends on the origin by definition.
+Plain SVDD is this fit with Q = I held fixed (k_max = 1).
 
 The Hessian weight w on lam lam' is configurable: ``as_written`` uses w = 1
 and ``consistent`` uses w = beta (matching the gradient, in which case the
@@ -36,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
-from .numerics import damped_pinv_factor, qr_orthonormalize_rows, row_normalize_l2
+from .numerics import qr_orthonormalize_rows, row_normalize_l2, sym_eig
 from .svdd import (
     SV_EPS_FACTOR,
     AlphaVector,
@@ -147,71 +156,108 @@ def build_lambda(spec: RegularizationSpec, alpha: AlphaVector):
 
 
 def objective(q, x, alpha_values, lam, beta):
-    """Augmented objective L(Q); reduces to the dual value when beta*Psi = 0."""
+    """Augmented objective L(Q); reduces to the dual value when beta*Psi = 0.
+
+    The SVDD part is sum_i a_i ||y_i - Y a||^2 (sum(a) = 1), formed on the
+    projections centered at Y a, so that it does not lose digits when the
+    data lie far from the origin.
+    """
     y = project(q, x)
     a = np.asarray(alpha_values, dtype=np.float64)
     lam_v = np.asarray(lam, dtype=np.float64)
     if a.shape[0] != y.shape[1] or lam_v.shape[0] != y.shape[1]:
         raise DimensionMismatch("alpha/lambda length does not match sample count")
-    ya = y @ a
+    yc = y - (y @ a)[:, None]
     yl = y @ lam_v
-    sq_norms = (y * y).sum(axis=0)
-    return float(a @ sq_norms - ya @ ya + beta * (yl @ yl))
+    return float(a @ (yc * yc).sum(axis=0) + beta * (yl @ yl))
 
 
-def _support_centered(x, alpha_values, lam):
-    """Validated (X, lam, a_s, X_s): the weights a_s of the columns with
-    a_i != 0 and those columns centered at the a-weighted mean X a. The other
-    columns add nothing to X (diag(a) - aa') X'."""
+def support_block(x, alpha_values, lam):
+    """(M_s, X lam): the columns the gradient and the Hessian core are made of.
+
+    M_s = X_c diag(sqrt(a_s)) holds the support columns (a_i > 0) centered at
+    the a-weighted mean X a and scaled by sqrt(a_i), so that
+    X (diag(a) - aa') X' = M_s M_s' (sum(a) = 1); the other columns add
+    nothing to it.
+    """
     x_mat = np.asarray(x, dtype=np.float64)
     a = np.asarray(alpha_values, dtype=np.float64)
     lam_v = np.asarray(lam, dtype=np.float64)
     if x_mat.ndim != 2 or a.shape[0] != x_mat.shape[1] or lam_v.shape[0] != x_mat.shape[1]:
         raise DimensionMismatch("alpha/lambda length does not match sample count")
-    sv = np.flatnonzero(a)
-    a_s, x_s = a[sv], x_mat[:, sv]
-    x_s -= (x_s @ a_s)[:, None]
-    return x_mat, lam_v, a_s, x_s
+    sv = np.flatnonzero(a > 0.0)
+    a_s, m_s = a[sv], x_mat[:, sv]
+    m_s -= (m_s @ a_s)[:, None]
+    m_s *= np.sqrt(a_s)
+    return m_s, x_mat @ lam_v
 
 
-def gradient(q, x, alpha_values, lam, beta):
+def gradient(q, block, beta):
     """Gradient of L with respect to Q: 2 Q X (diag(a) - aa' + beta*lam lam') X'.
 
-    Formed as 2 [(Q X_c) diag(a) X_c' + beta (Q X lam)(X lam)'] (sum(a) = 1).
+    Formed from ``support_block``'s (M_s, X lam) as
+    2 [(Q M_s) M_s' + beta (Q X lam)(X lam)'].
     """
-    x_mat, lam_v, a_s, xc = _support_centered(x, alpha_values, lam)
+    m_s, xl = block
     q_mat = np.asarray(q, dtype=np.float64)
-    xl = x_mat @ lam_v
-    return 2.0 * ((project(q_mat, xc) * a_s) @ xc.T + beta * np.outer(q_mat @ xl, xl))
+    return 2.0 * (project(q_mat, m_s) @ m_s.T + beta * np.outer(q_mat @ xl, xl))
 
 
-def hessian_core(x, alpha_values, lam, beta, mode="as_written"):
-    """The D x D block B of the Hessian; the full Hessian is I_d kron B.
+def hessian_core(block, beta, mode="as_written"):
+    """Factor M of the D x D Hessian block B = 2 M M'; the Hessian is I_d kron B.
 
-    B = 2 [X_c diag(a) X_c' + w (X lam)(X lam)'] (sum(a) = 1). ``as_written``
-    weights lam lam' by w = 1; ``consistent`` by w = beta, so that B is the
-    true second derivative of the beta-weighted objective.
+    M = [M_s, sqrt(w) X lam] is D x (s+1) for s support vectors, so
+    B = 2 [X_c diag(a) X_c' + w (X lam)(X lam)'] (sum(a) = 1) has rank at most
+    s + 1. ``as_written`` weights lam lam' by w = 1; ``consistent`` by
+    w = beta, so that B is the true second derivative of the beta-weighted
+    objective.
     """
     if mode not in HESSIAN_BETA_MODES:
         raise ValueError(f"mode must be one of {HESSIAN_BETA_MODES}")
-    x_mat, lam_v, a_s, xc = _support_centered(x, alpha_values, lam)
     weight = 1.0 if mode == "as_written" else beta
-    xl = x_mat @ lam_v
-    g = (xc * a_s) @ xc.T + weight * np.outer(xl, xl)
-    # g + g' supplies the factor 2 and scrubs the (tiny) numerical asymmetry
-    # of the matrix product, keeping B bitwise symmetric
-    return g + g.T
+    if weight < 0.0:
+        raise ValueError("beta must be >= 0")
+    m_s, xl = block
+    return np.column_stack([m_s, np.sqrt(weight) * xl])
 
 
-def newton_step(grad, b, mu=0.0, rel_tol=1e-10):
-    """Solve B s_r = g_r for every row r of the gradient (H = I_d kron B).
+def newton_step(grad, m, mu=0.0, rel_tol=1e-10):
+    """Apply (B + mu I)^+ to every row of the gradient, B = 2 M M' (H = I_d kron B).
 
-    One factorization of B serves all rows, and the result equals the
-    minimum-norm solve of the full system H s = g.
+    One eigendecomposition serves all rows. When M has fewer columns than
+    rows it is of the Gram M'M = V Lambda V', and B's eigenvectors on the
+    range of M are U = M V Lambda^{-1/2} with eigenvalues 2 Lambda; the other
+    D - rank eigenvalues of B + mu I are mu, and the rows' parts outside U
+    are divided by mu. Otherwise it is of the D x D matrix MM' itself.
+    Eigenvalues of B + mu I below rel_tol times the largest are inverted to
+    zero. The result equals the minimum-norm solve of the full system
+    (H + mu I) s = g.
     """
+    if mu < 0.0:
+        raise ValueError("mu must be >= 0")
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
     g_mat = np.asarray(grad, dtype=np.float64)
-    u, inv = damped_pinv_factor(np.asarray(b, dtype=np.float64), mu=mu, rel_tol=rel_tol)
-    return (g_mat @ u) * inv @ u.T
+    m_mat = np.asarray(m, dtype=np.float64)
+    thin = m_mat.shape[1] < m_mat.shape[0]
+    eig = sym_eig(m_mat.T @ m_mat if thin else m_mat @ m_mat.T)
+    lam = 2.0 * eig.eigenvalues + mu
+    scale = max(float(np.abs(lam).max()), mu)
+    keep = np.abs(lam) >= rel_tol * scale
+    if thin:
+        keep &= eig.eigenvalues > 0.0
+        u = m_mat @ (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep]))
+    else:
+        u = eig.eigenvectors[:, keep]
+    gu = g_mat @ u
+    step = (gu / lam[keep]) @ u.T
+    if thin and 0.0 < mu and mu >= rel_tol * scale:
+        rest = g_mat - gu @ u.T
+        # U is orthonormal only to the accuracy of the Gram's eigenvectors;
+        # a second projection removes what the first left inside range(U)
+        rest -= (rest @ u) @ u.T
+        step += rest / mu
+    return step
 
 
 def apply_update(q, step, eta, direction):
@@ -226,13 +272,14 @@ def _finalize(q_raw):
     return row_normalize_l2(qr_orthonormalize_rows(q_raw))
 
 
-def update_step(q, grad, b, cfg: TrainConfig):
+def update_step(q, grad, m, cfg: TrainConfig):
     """One optimizer step, before re-orthonormalization.
 
-    The newton optimizer moves Q along B^+ applied to each gradient row (B is
-    the Hessian core); the gradient optimizer along the gradient itself.
+    The newton optimizer moves Q along (B + mu I)^+ applied to each gradient
+    row (B = 2 M M' is the Hessian core, M its factor from ``hessian_core``);
+    the gradient optimizer along the gradient itself.
     """
-    step = newton_step(grad, b, mu=cfg.damping) if cfg.optimizer == "newton" else grad
+    step = newton_step(grad, m, mu=cfg.damping) if cfg.optimizer == "newton" else grad
     return apply_update(q, step, cfg.eta, cfg.direction)
 
 
@@ -313,12 +360,12 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         y, alpha = fit_dual(q, warm)
         warm = alpha.alpha
         record(k, q, alpha, y)
-        lam = build_lambda(reg, alpha)
-        grad = gradient(q, x_mat, alpha.alpha, lam, cfg.beta)
-        b = None
+        block = support_block(x_mat, alpha.alpha, build_lambda(reg, alpha))
+        grad = gradient(q, block, cfg.beta)
+        m = None
         if cfg.optimizer == "newton":
-            b = hessian_core(x_mat, alpha.alpha, lam, cfg.beta, cfg.hessian_beta_mode)
-        q = _orthonormalize_with_recovery(update_step(q, grad, b, cfg), rng)
+            m = hessian_core(block, cfg.beta, cfg.hessian_beta_mode)
+        q = _orthonormalize_with_recovery(update_step(q, grad, m, cfg), rng)
         k += 1
 
     y, alpha = fit_dual(q, warm)

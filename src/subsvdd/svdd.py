@@ -8,7 +8,11 @@ centered data (``subspace.train`` does). The center is c = sum_i a_i y_i in
 the caller's coordinates, and a point is inside the description when
 ||y - c||^2 <= R^2. The solver is a deterministic pairwise coordinate
 exchange: the pair most violating the KKT conditions is updated by the
-closed-form 2-variable solution, clipped to the box. On apparent convergence
+closed-form 2-variable solution, clipped to the box. Without a warm start it
+begins with alpha = C on the floor(1/C) points of largest G_ii, which for a
+centered Gram matrix are the points farthest from the mean, where the
+support vectors lie; an exchange zeroes at most one alpha, so a start spread
+over all N points would need at least N - #SV updates. On apparent convergence
 a certificate over all pairs shows that no feasible exchange improves the
 objective by more than ``tol``. It is computed on the block of pairs that can
 gain at all (i free to grow, j free to shrink, gradient of i above that of
@@ -110,6 +114,26 @@ def _best_partner_gains(num, den, t_hi):
     return t, num * t - den * t * t
 
 
+def _cold_start(diag, C):
+    """Feasible start with the mass on the points of largest G_ii.
+
+    alpha = C on the floor(1/C) points of largest G_ii (ties in index order)
+    and the remainder 1 - floor(1/C) C on the next one. When C N is within
+    the feasibility slack of 1, no such split fits and the start is the
+    uniform 1/N, the only point with sum 1 whose entries exceed C by at most
+    that slack.
+    """
+    n = diag.shape[0]
+    k = int(1.0 / C)
+    if k >= n:
+        return np.full(n, 1.0 / n)
+    order = np.argsort(-diag, kind="stable")
+    alpha = np.zeros(n)
+    alpha[order[:k]] = C
+    alpha[order[k]] = min(max(1.0 - k * C, 0.0), C)
+    return alpha
+
+
 def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     """Solve the SVDD dual for Gram matrix ``gram`` and box bound ``C``.
 
@@ -121,7 +145,9 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     on the block of pairs that can gain (``_pair_sweep``), which near the
     solution is a few rows and columns, not N x N. ``alpha0`` warm-starts the
     iteration when it is already feasible (the iterative trainer passes the
-    previous alpha). Raises InfeasibleC when C < 1/N and NotConverged when
+    previous alpha); otherwise alpha starts at C on the floor(1/C) points of
+    largest G_ii (ties in index order), with the remainder on the next point
+    (``_cold_start``). Raises InfeasibleC when C < 1/N and NotConverged when
     the criterion is not met within ``max_passes`` pair updates (default
     10*N^2).
     """
@@ -142,7 +168,7 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     diag = np.diag(g_mat).copy()
     if tol is None:
         tol = 1e-12 * max(1.0, float(np.abs(diag).max()))
-    alpha = np.full(n, 1.0 / n)
+    alpha = None
     if alpha0 is not None:
         cand = np.asarray(alpha0, dtype=np.float64)
         if (
@@ -152,6 +178,8 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
             and cand.max() <= c_bound + 1e-15
         ):
             alpha = np.clip(cand, 0.0, c_bound)
+    if alpha is None:
+        alpha = _cold_start(diag, c_bound)
     h = g_mat @ alpha  # cached G @ alpha
     updates = 0
     while True:

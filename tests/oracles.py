@@ -6,7 +6,7 @@ from its definition, slowly and without the package's shortcuts.
 import numpy as np
 
 from subsvdd.errors import DimensionMismatch
-from subsvdd.numerics import as_matrix, damped_pinv_factor
+from subsvdd.numerics import as_matrix, sym_eig
 
 HESSIAN_FULL_CAP = 2500  # hard cap on d*D for the brute-force assembly
 
@@ -47,6 +47,29 @@ def hessian_full(x, alpha_values, lam, beta, mode, d):
                         g_mat @ s_ij.T @ s_kl
                     )
     return h_full
+
+
+def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
+    """Factor (H + mu*I)^+ for symmetric H as (U, inv_eigenvalues).
+
+    Eigenvalues of the damped matrix with |lambda + mu| below
+    rel_tol * max|lambda + mu| are inverted to zero, so a singular (or
+    indefinite) H is handled without error. Applying the factor to a vector g
+    as U (inv * (U' g)) gives the minimum-norm least-squares solution of
+    (H + mu*I) x = g.
+    """
+    if mu < 0.0:
+        raise ValueError("mu must be >= 0")
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
+    eig = sym_eig(h)
+    lam = eig.eigenvalues + mu
+    scale = np.abs(lam).max() if lam.size else 0.0
+    inv = np.zeros_like(lam)
+    if scale > 0.0:
+        keep = np.abs(lam) >= rel_tol * scale
+        inv[keep] = 1.0 / lam[keep]
+    return eig.eigenvectors, inv
 
 
 def solve_damped(h, g, mu=0.0, rel_tol=1e-10):

@@ -15,7 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, make_blobs
 from oracles import dual_objective, hessian_full
 from test_svdd import simplex_grid_max
-from test_subspace import fd_gradient, fd_hessian, random_instance
+from test_subspace import core_matrix, fd_gradient, fd_hessian, random_instance
 
 from subsvdd.data import DataSet, load_csv
 from subsvdd.evaluate import GridSpec, run_benchmark
@@ -29,6 +29,7 @@ from subsvdd.subspace import (
     gradient,
     hessian_core,
     newton_step,
+    support_block,
     train,
 )
 from subsvdd.svdd import describe, solve_dual
@@ -55,7 +56,7 @@ def test_criterion_1_gradient_matches_finite_differences():
             seed=1000 + i, d=d, big_d=big_d, n=n, reg=kinds[i % 4], beta=betas[i % 3]
         )
         beta = betas[i % 3]
-        g = gradient(q, x, alpha.alpha, lam, beta)
+        g = gradient(q, support_block(x, alpha.alpha, lam), beta)
         fd = fd_gradient(q, x, alpha.alpha, lam, beta)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
@@ -80,14 +81,14 @@ def test_criterion_2_hessian_structure_and_curvature():
             seed=2000 + i, d=d, big_d=big_d, n=n, reg=("psi1", "psi2")[i % 2], beta=beta
         )
         for mode in ("as_written", "consistent"):
-            b = hessian_core(x, alpha.alpha, lam, beta, mode)
+            b = core_matrix(x, alpha.alpha, lam, beta, mode)
             full = hessian_full(x, alpha.alpha, lam, beta, mode, d=d)
             dev = np.abs(np.kron(np.eye(d), b) - full).max()
             worst_assembly = max(worst_assembly, dev)
             assert dev <= 1e-12
         # the true curvature of the beta-weighted objective is the
         # consistent-mode block (the gradient always carries beta)
-        b = hessian_core(x, alpha.alpha, lam, beta, "consistent")
+        b = core_matrix(x, alpha.alpha, lam, beta, "consistent")
         fd = fd_hessian(q, x, alpha.alpha, lam, beta)
         analytic = np.kron(np.eye(d), b)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -108,10 +109,11 @@ def test_criterion_3_newton_degeneracy_identity():
         q, x, alpha, lam = random_instance(
             seed=3000 + seed, d=2, big_d=4, n=14, reg="psi2", beta=5.0, c=0.15
         )
-        b = hessian_core(x, alpha.alpha, lam, 5.0, "consistent")
-        assert np.linalg.matrix_rank(b) == b.shape[0]
-        g = gradient(q, x, alpha.alpha, lam, 5.0)
-        step = newton_step(g, b, mu=0.0)
+        block = support_block(x, alpha.alpha, lam)
+        m = hessian_core(block, 5.0, "consistent")
+        assert np.linalg.matrix_rank(m) == m.shape[0]
+        g = gradient(q, block, 5.0)
+        step = newton_step(g, m, mu=0.0)
         eta = 0.07
         for direction, scale in (("min", 1 - eta), ("max", 1 + eta)):
             raw = apply_update(q, step, eta, direction)

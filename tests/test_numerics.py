@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from subsvdd.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroRow
-from oracles import solve_damped
-from subsvdd.numerics import (
-    damped_pinv_factor,
-    qr_orthonormalize_rows,
-    row_normalize_l2,
-    sym_eig,
-)
+from oracles import damped_pinv_factor, solve_damped
+from subsvdd.numerics import qr_orthonormalize_rows, row_normalize_l2, sym_eig
 
 
 def pinv(m, rel_tol=1e-10):
-    """The pseudo-inverse U diag(inv) U' that the Newton step applies."""
+    """The oracle's pseudo-inverse U diag(inv) U'."""
     u, inv = damped_pinv_factor(m, rel_tol=rel_tol)
     return (u * inv) @ u.T
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from subsvdd.subspace import (
     newton_step,
     objective,
     project,
+    support_block,
     train,
     update_step,
 )
@@ -32,6 +35,12 @@ def random_instance(seed, d=2, big_d=4, n=6, reg="psi2", beta=1.0, c=None):
     spec = RegularizationSpec(kind=reg, beta=beta, boundary_eps=1e-6 * c)
     lam = build_lambda(spec, alpha)
     return q, x, alpha, lam
+
+
+def core_matrix(x, alpha, lam, beta, mode):
+    """The Hessian block B = 2 M M' from the factor M that hessian_core returns."""
+    m = hessian_core(support_block(x, alpha, lam), beta, mode)
+    return 2.0 * m @ m.T
 
 
 def objective_by_summation(q, x, alpha, lam, beta):
@@ -65,6 +74,7 @@ def fd_gradient(q, x, alpha, lam, beta, step=1e-5):
 def fd_hessian(q, x, alpha, lam, beta, step=1e-5):
     """Central differences of the analytic gradient, columns in row-major order."""
     d, big_d = q.shape
+    block = support_block(x, alpha, lam)
     h = np.zeros((d * big_d, d * big_d))
     for i in range(d):
         for j in range(big_d):
@@ -72,9 +82,7 @@ def fd_hessian(q, x, alpha, lam, beta, step=1e-5):
             qp[i, j] += step
             qm = q.copy()
             qm[i, j] -= step
-            col = (
-                gradient(qp, x, alpha, lam, beta) - gradient(qm, x, alpha, lam, beta)
-            ) / (2.0 * step)
+            col = (gradient(qp, block, beta) - gradient(qm, block, beta)) / (2.0 * step)
             h[:, i * big_d + j] = col.reshape(-1)
     return h
 
@@ -150,20 +158,20 @@ class TestGradient:
     def test_zero_q_gives_zero(self, rng):
         x = rng.standard_normal((4, 6))
         a = np.full(6, 1 / 6)
-        g = gradient(np.zeros((2, 4)), x, a, a, 1.0)
+        g = gradient(np.zeros((2, 4)), support_block(x, a, a), 1.0)
         np.testing.assert_allclose(g, 0.0)
 
     def test_single_point_terms_cancel(self):
         q = np.array([[0.6, 0.8]])
         x = np.array([[3.0], [1.0]])
-        g = gradient(q, x, np.array([1.0]), np.array([0.0]), 0.0)
+        g = gradient(q, support_block(x, np.array([1.0]), np.array([0.0])), 0.0)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("reg", ["psi0", "psi1", "psi2", "psi3"])
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_matches_finite_differences(self, reg, beta):
         q, x, alpha, lam = random_instance(hash((reg, beta)) % 1000, reg=reg, beta=beta)
-        g = gradient(q, x, alpha.alpha, lam, beta)
+        g = gradient(q, support_block(x, alpha.alpha, lam), beta)
         fd = fd_gradient(q, x, alpha.alpha, lam, beta)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(g - fd) / denom <= 1e-5
@@ -172,14 +180,14 @@ class TestGradient:
 class TestHessian:
     def test_d1_full_equals_core(self):
         q, x, alpha, lam = random_instance(3, d=1, big_d=2, n=2)
-        b = hessian_core(x, alpha.alpha, lam, 1.0, "as_written")
+        b = core_matrix(x, alpha.alpha, lam, 1.0, "as_written")
         full = hessian_full(x, alpha.alpha, lam, 1.0, "as_written", d=1)
         np.testing.assert_allclose(full, b, atol=1e-12)
 
     def test_modes_agree_when_lambda_zero(self):
         q, x, alpha, lam = random_instance(4, reg="psi0", beta=3.0)
-        b1 = hessian_core(x, alpha.alpha, lam, 3.0, "as_written")
-        b2 = hessian_core(x, alpha.alpha, lam, 3.0, "consistent")
+        b1 = core_matrix(x, alpha.alpha, lam, 3.0, "as_written")
+        b2 = core_matrix(x, alpha.alpha, lam, 3.0, "consistent")
         np.testing.assert_allclose(b1, b2)
 
     @pytest.mark.parametrize("mode", ["as_written", "consistent"])
@@ -187,7 +195,7 @@ class TestHessian:
         for seed in range(4):
             d = 2 + seed % 2
             q, x, alpha, lam = random_instance(seed, d=d, big_d=5, n=7, beta=2.5)
-            b = hessian_core(x, alpha.alpha, lam, 2.5, mode)
+            b = core_matrix(x, alpha.alpha, lam, 2.5, mode)
             full = hessian_full(x, alpha.alpha, lam, 2.5, mode, d=d)
             np.testing.assert_allclose(np.kron(np.eye(d), b), full, atol=1e-12)
 
@@ -204,7 +212,7 @@ class TestHessian:
     def test_consistent_mode_matches_fd_of_gradient(self):
         for seed, beta in [(0, 0.1), (1, 1.0), (2, 10.0)]:
             q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=6, beta=beta)
-            b = hessian_core(x, alpha.alpha, lam, beta, "consistent")
+            b = core_matrix(x, alpha.alpha, lam, beta, "consistent")
             analytic = np.kron(np.eye(2), b)
             fd = fd_hessian(q, x, alpha.alpha, lam, beta)
             denom = max(np.linalg.norm(fd), 1e-12)
@@ -219,7 +227,8 @@ class TestUpdateStep:
     def test_eta_tiny_keeps_q_up_to_sign(self):
         q, x, alpha, lam = random_instance(5)
         cfg = TrainConfig(d=2, C=0.4, eta=1e-300, optimizer="gradient", k_max=2)
-        new = update_step(q, gradient(q, x, alpha.alpha, lam, 1.0), None, cfg)
+        g = gradient(q, support_block(x, alpha.alpha, lam), 1.0)
+        new = update_step(q, g, None, cfg)
         np.testing.assert_allclose(np.abs(new), np.abs(q), atol=1e-10)
 
     def test_newton_consistent_collapses_to_scaled_q(self):
@@ -228,27 +237,64 @@ class TestUpdateStep:
         # spread alpha over > D support vectors keeps B full rank
         for seed in range(10):
             q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=12, beta=7.0, c=0.15)
-            g = gradient(q, x, alpha.alpha, lam, 7.0)
-            b = hessian_core(x, alpha.alpha, lam, 7.0, "consistent")
-            assert np.linalg.matrix_rank(b) == 4
-            step = newton_step(g, b, mu=0.0)
+            block = support_block(x, alpha.alpha, lam)
+            g = gradient(q, block, 7.0)
+            m = hessian_core(block, 7.0, "consistent")
+            assert np.linalg.matrix_rank(m) == 4
+            step = newton_step(g, m, mu=0.0)
             eta = 0.05
             raw_min = apply_update(q, step, eta, "min")
             raw_max = apply_update(q, step, eta, "max")
             assert np.abs(raw_min - (1 - eta) * q).max() <= 1e-8
             assert np.abs(raw_max - (1 + eta) * q).max() <= 1e-8
 
+    # (reg, C, D, N, beta): the singular psi0 core and the beta != 1 rank-one
+    # term, each with a thin factor (s + 1 < D) and a square one (s + 1 >= D)
+    STEP_CASES = [
+        ("psi2", 0.4, 4, 9, 2.0),
+        ("psi0", 0.3, 8, 20, 1.0),
+        ("psi2", 0.3, 8, 20, 2.5),
+        ("psi0", 0.05, 4, 30, 1.0),
+        ("psi1", 0.05, 4, 30, 2.5),
+    ]
+
     @pytest.mark.parametrize("mode", ["as_written", "consistent"])
-    def test_rowwise_step_equals_full_vectorized_solve(self, mode):
-        for seed in range(5):
-            d = 2
-            q, x, alpha, lam = random_instance(seed, d=d, big_d=4, n=9, beta=2.0)
-            g = gradient(q, x, alpha.alpha, lam, 2.0)
-            b = hessian_core(x, alpha.alpha, lam, 2.0, mode)
-            rowwise = newton_step(g, b, mu=0.0)
-            h_full = hessian_full(x, alpha.alpha, lam, 2.0, mode, d=d)
-            vec_step = solve_damped(h_full, g.reshape(-1), mu=0.0)
-            assert np.abs(rowwise.reshape(-1) - vec_step).max() <= 1e-8
+    def test_rowwise_step_equals_full_vectorized_solve(self, mode, monkeypatch):
+        from subsvdd import subspace
+
+        orders = []
+
+        def sym_eig(mat, real=subspace.sym_eig):
+            orders.append(mat.shape[0])
+            return real(mat)
+
+        monkeypatch.setattr(subspace, "sym_eig", sym_eig)
+        thin = set()
+        for (reg, c, big_d, n, beta), mu, seed in itertools.product(
+            self.STEP_CASES, (0.0, 0.1), range(3)
+        ):
+            q, x, alpha, lam = random_instance(seed, d=2, big_d=big_d, n=n, reg=reg,
+                                               beta=beta, c=c)
+            block = support_block(x, alpha.alpha, lam)
+            m = hessian_core(block, beta, mode)
+            s = np.count_nonzero(alpha.alpha)
+            assert m.shape == (big_d, s + 1)
+            thin.add(s + 1 < big_d)
+            if reg == "psi0" and c == 0.3:
+                assert np.linalg.matrix_rank(m) < big_d
+            # the gradient's rows lie in the range of M; a random g also has
+            # parts outside it, which only the damping scales
+            g = gradient(q, block, beta)
+            if seed == 2:
+                g = np.random.default_rng(seed).standard_normal(g.shape)
+            orders.clear()
+            rowwise = newton_step(g, m, mu=mu)
+            # one eigendecomposition, of the smaller Gram of M: M'M when s + 1 < D
+            assert orders == [min(s + 1, big_d)]
+            h_full = hessian_full(x, alpha.alpha, lam, beta, mode, d=2)
+            vec_step = solve_damped(h_full, g.reshape(-1), mu=mu)
+            assert np.abs(rowwise.reshape(-1) - vec_step).max() <= 1e-9 * np.abs(vec_step).max()
+        assert thin == {True, False}
 
     def test_rank_recovery_redraws_dependent_rows(self):
         from subsvdd.subspace import _orthonormalize_with_recovery
@@ -261,17 +307,18 @@ class TestUpdateStep:
 
     def test_gradient_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
-        g = gradient(q, x, alpha.alpha, lam, 1.0)
+        g = gradient(q, support_block(x, alpha.alpha, lam), 1.0)
         cfg = TrainConfig(d=2, C=0.4, eta=0.05, optimizer="gradient", k_max=2)
         np.testing.assert_allclose(update_step(q, g, None, cfg), q - 0.05 * g, atol=1e-12)
 
     def test_newton_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
-        g = gradient(q, x, alpha.alpha, lam, 1.0)
-        b = hessian_core(x, alpha.alpha, lam, 1.0, "as_written")
+        block = support_block(x, alpha.alpha, lam)
+        g = gradient(q, block, 1.0)
+        m = hessian_core(block, 1.0, "as_written")
         cfg = TrainConfig(d=2, C=0.4, eta=0.05, direction="max", damping=0.1, k_max=2)
-        by_hand = q + 0.05 * newton_step(g, b, mu=0.1)
-        np.testing.assert_allclose(update_step(q, g, b, cfg), by_hand, atol=1e-12)
+        by_hand = q + 0.05 * newton_step(g, m, mu=0.1)
+        np.testing.assert_allclose(update_step(q, g, m, cfg), by_hand, atol=1e-12)
 
 
 class TestTrain:

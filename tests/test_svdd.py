@@ -8,6 +8,7 @@ from subsvdd.errors import (
     DimensionMismatch,
     InfeasibleC,
     NoSupportVectors,
+    NotConverged,
 )
 from oracles import dual_objective, pair_sweep_full
 from subsvdd.pipeline import fit_occ_model, parse_method
@@ -312,3 +313,65 @@ class TestDecide:
         _, lab1 = decide_batch(probes, d1)
         _, lab2 = decide_batch(probes + t[:, None], d2)
         assert np.array_equal(lab1, lab2)
+
+
+@st.composite
+def dual_instances(draw):
+    """Points (possibly rank-deficient, with duplicates), their centered Gram
+    matrix and a box bound C in [1/N, 1.5], with C = 1/N exactly and
+    C N = 1 - 5e-10 (inside the feasibility slack) among the draws."""
+    n = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = gen.standard_normal((rank, n)) * gen.uniform(0.1, 10.0)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        pts[:, dst] = pts[:, src]
+    pts -= pts.mean(axis=1, keepdims=True)
+    c = draw(st.one_of(st.just(1.0 / n), st.just((1.0 - 5e-10) / n),
+                       st.floats(1.0 / n, 1.5)))
+    return pts, pts.T @ pts, c
+
+
+class TestColdStart:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dual_instances())
+    def test_start_is_feasible_and_reaches_the_uniform_starts_optimum(self, instance):
+        pts, gram, c = instance
+        n = gram.shape[0]
+        diag = np.diag(gram).copy()
+        start = svdd._cold_start(diag, c)
+        AlphaVector(alpha=start, C=c).validate(tol=1e-9)
+        tol = 1e-12 * max(1.0, float(diag.max()))
+        alpha = solve_dual(gram, c).alpha
+        grad = diag - 2.0 * gram @ alpha
+        assert pair_sweep_full(diag, gram, alpha, grad, c)[3] <= tol
+        uniform = solve_dual(gram, c, alpha0=np.full(n, 1.0 / n)).alpha
+        gap = n * tol
+        assert abs(dual_objective(gram, alpha) - dual_objective(gram, uniform)) <= gap
+        # the dual falls by at least ||Y alpha - Y alpha*||^2 away from its
+        # optimum alpha*, so an objective within gap of the optimum places the
+        # center within sqrt(gap) of the optimal one
+        dist = np.linalg.norm(pts @ alpha - pts @ uniform)
+        assert dist <= 2.0 * np.sqrt(gap)
+
+    def test_mass_on_the_farthest_points(self):
+        diag = np.array([1.0, 4.0, 2.0, 4.0, 3.0])
+        np.testing.assert_allclose(svdd._cold_start(diag, 0.3), [0, 0.3, 0.1, 0.3, 0.3])
+        np.testing.assert_array_equal(svdd._cold_start(diag, 1.0), [0, 1, 0, 0, 0])
+        np.testing.assert_array_equal(svdd._cold_start(diag, 1.5), [0, 1, 0, 0, 0])
+        np.testing.assert_array_equal(svdd._cold_start(diag, 0.2), np.full(5, 0.2))
+
+    def test_seeds_shaped_solve_fits_a_budget_the_uniform_start_exceeds(self):
+        # from alpha = 1/N an exchange zeroes at most one alpha, so reaching
+        # about 10 support vectors out of 40 takes at least 30 updates
+        gen = np.random.default_rng(0)
+        mean = np.array([14.85, 14.56, 0.871, 5.63, 3.26, 3.70, 5.41])
+        std = np.array([2.91, 1.31, 0.024, 0.44, 0.38, 1.50, 0.49])
+        y = mean[:, None] + std[:, None] * gen.standard_normal((7, 40))
+        y -= y.mean(axis=1, keepdims=True)
+        gram = y.T @ y
+        alpha = solve_dual(gram, 0.1, max_passes=20).alpha
+        assert np.count_nonzero(alpha) <= 20
+        with pytest.raises(NotConverged):
+            solve_dual(gram, 0.1, max_passes=20, alpha0=np.full(40, 1.0 / 40))

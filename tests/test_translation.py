@@ -6,6 +6,7 @@ vectors as a fit on X, and must decide every test point the same way, except
 for points whose squared distance lies within 1e-9 R^2 of the radius.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,20 @@ def test_newton_psi0_singular_core_at_large_offset():
     _assert_same_description(
         *_fit_pair("nssvdd-linear-psi0-min", 3, 5.0, 0.3, **SUBSPACE)
     )
+
+
+@pytest.mark.parametrize("log_offset,rtol", [(4.0, 1e-11), (7.0, 1e-8)])
+def test_traced_objective_ignores_offsets(log_offset, rtol):
+    # psi0 leaves only sum_i a_i ||y_i - Y a||^2, which does not depend on the
+    # origin. Adding the offset rounds every entry by up to half an ulp of
+    # 10^log_offset * spread (about 1e-9 spread at 1e7), so the moved fit sees
+    # other data to that accuracy; sums of squares of uncentered projections
+    # lost all but about 3 digits at 1e7
+    x = np.random.default_rng(3).standard_normal((5, 40))
+    offset = 10.0**log_offset * x.std(axis=1, keepdims=True)
+    spec = parse_method("nssvdd-linear-psi0-min")
+    kw = dict(C=0.1, seed=3, **SUBSPACE)
+    _, trace = fit_occ_model(x, spec, **kw)
+    _, moved = fit_occ_model(x + offset, spec, **kw)
+    np.testing.assert_allclose([r.objective for r in moved], [r.objective for r in trace],
+                               rtol=rtol, atol=0)
