@@ -59,16 +59,15 @@ class OccSplit:
     seed: int
 
 
-def load_csv(path, has_header=False, label_column="last", name=None):
-    """Load a rectangular numeric CSV with a string class label per row.
+def _read_rows(path, has_header, label_column=None):
+    """Parse a CSV's rows into a D x N float matrix and a list of labels.
 
-    ``label_column`` selects which column carries the label ('first' or
-    'last'). Feature cells must parse as finite floats; the offending cell is
-    reported otherwise.
+    Blank lines are skipped and, with ``has_header``, the first row. With
+    ``label_column`` ('first' or 'last') that column is split off as a
+    stripped string label; otherwise every cell is a feature and the label
+    list stays empty. Feature cells must parse as finite floats; the
+    offending cell is reported by row and feature column otherwise.
     """
-    if label_column not in ("first", "last"):
-        raise ValueError("label_column must be 'first' or 'last'")
-    path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if has_header and rows:
@@ -76,7 +75,7 @@ def load_csv(path, has_header=False, label_column="last", name=None):
     if not rows:
         raise EmptyFile(f"{path} has no data rows")
     width = len(rows[0])
-    if width < 2:
+    if label_column is not None and width < 2:
         raise ParseError(f"{path}: rows need at least one feature and a label")
     features = []
     labels = []
@@ -84,46 +83,11 @@ def load_csv(path, has_header=False, label_column="last", name=None):
         if len(row) != width:
             raise RaggedRows(f"{path}: row {r} has {len(row)} fields, expected {width}")
         if label_column == "last":
-            raw, label = row[:-1], row[-1]
-        else:
-            label, raw = row[0], row[1:]
-        vals = []
-        for c, cell in enumerate(raw):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {r} column {c}: {cell!r} is not numeric"
-                ) from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}: row {r} column {c}: non-finite value {cell!r}")
-            vals.append(v)
-        features.append(vals)
-        labels.append(label.strip())
-    mat = np.asarray(features, dtype=np.float64).T  # D x N
-    labels_arr = np.asarray(labels, dtype=object)
-    return DataSet(
-        features=mat,
-        labels=labels_arr,
-        class_names=sorted(set(labels)),
-        name=name if name is not None else path.stem,
-    )
-
-
-def load_features_csv(path, has_header=False):
-    """Load an unlabeled CSV of feature rows as a D x M matrix (for predict)."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if has_header and rows:
-        rows = rows[1:]
-    if not rows:
-        raise EmptyFile(f"{path} has no data rows")
-    width = len(rows[0])
-    out = []
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRows(f"{path}: row {r} has {len(row)} fields, expected {width}")
+            row, label = row[:-1], row[-1]
+            labels.append(label.strip())
+        elif label_column == "first":
+            label, row = row[0], row[1:]
+            labels.append(label.strip())
         vals = []
         for c, cell in enumerate(row):
             try:
@@ -135,8 +99,32 @@ def load_features_csv(path, has_header=False):
             if not math.isfinite(v):
                 raise ParseError(f"{path}: row {r} column {c}: non-finite value {cell!r}")
             vals.append(v)
-        out.append(vals)
-    return np.asarray(out, dtype=np.float64).T
+        features.append(vals)
+    return np.asarray(features, dtype=np.float64).T, labels
+
+
+def load_csv(path, has_header=False, label_column="last", name=None):
+    """Load a rectangular numeric CSV with a string class label per row.
+
+    ``label_column`` selects which column carries the label ('first' or
+    'last'). Feature cells must parse as finite floats; the offending cell is
+    reported otherwise.
+    """
+    if label_column not in ("first", "last"):
+        raise ValueError("label_column must be 'first' or 'last'")
+    path = Path(path)
+    mat, labels = _read_rows(path, has_header, label_column)
+    return DataSet(
+        features=mat,
+        labels=np.asarray(labels, dtype=object),
+        class_names=sorted(set(labels)),
+        name=name if name is not None else path.stem,
+    )
+
+
+def load_features_csv(path, has_header=False):
+    """Load an unlabeled CSV of feature rows as a D x M matrix (for predict)."""
+    return _read_rows(Path(path), has_header)[0]
 
 
 def make_occ_split(ds: DataSet, target, train_frac, seed):

@@ -29,10 +29,6 @@ class RankDeficient(NumericalError):
         self.rows = tuple(rows)
 
 
-class ZeroRow(NumericalError):
-    pass
-
-
 class NotSymmetric(NumericalError):
     pass
 

@@ -284,10 +284,7 @@ def _bench_cell(ds, target, method, rep, base_seed, grid, k, k_max, zscore,
         ds, split, method, grid, k, cv_seed, k_max=k_max, zscore=zscore, **extra
     )
     fit_seed = derive_seed(base_seed, ds.name, target, rep, "fit")
-    model = _fit_point(
-        ds, split.train_target, method, point, fit_seed, k_max, zscore,
-        {"hessian_beta_mode": extra["hessian_beta_mode"], "damping": extra["damping"]},
-    )
+    model = _fit_point(ds, split.train_target, method, point, fit_seed, k_max, zscore, extra)
     _, pos = predict(model, ds.features[:, split.test_indices])
     truth = ds.labels[split.test_indices] == target
     score = gmean(confusion_from_labels(truth, pos))

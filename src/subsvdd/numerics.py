@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroRow
+from .errors import DimensionMismatch, NotSymmetric, RankDeficient
 
 RANK_TOL = 1e-12
 SYM_TOL = 1e-9
@@ -54,16 +54,6 @@ def qr_orthonormalize_rows(m):
     flip = out[np.arange(d), np.argmax(np.abs(out), axis=1)] < 0.0
     out[flip] = -out[flip]
     return out
-
-
-def row_normalize_l2(m):
-    """Scale every row to unit Euclidean norm. Raises ZeroRow on a ~zero row."""
-    a = as_matrix(m, "m")
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms < 1e-15):
-        bad = np.nonzero(norms < 1e-15)[0]
-        raise ZeroRow(f"rows {bad.tolist()} have (near-)zero norm")
-    return a / norms[:, None]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ preconditioned by the Hessian (newton optimizer). Under row-major
 vectorization the Hessian is block diagonal, H = I_d kron B with
 B = 2 X (diag(a) - aa' + w * lam lam') X', so the Newton solve reduces to d
 systems with one matrix B. ``update_step`` is the one step both optimizers
-take; after it Q is re-orthonormalized (QR) and row-normalized.
+take; after it the rows of Q are re-orthonormalized (QR).
 
 B and the gradient are formed at the a-weighted mean X a: because
 sum(a) = 1, X (diag(a) - aa') X' = M_s M_s' with M_s = X_c diag(sqrt(a_s)),
@@ -35,8 +35,14 @@ use the projections as they are: Psi depends on the origin by definition.
 Plain SVDD is this fit with Q = I held fixed (k_max = 1).
 
 The Hessian weight w on lam lam' is configurable: ``as_written`` uses w = 1
-and ``consistent`` uses w = beta (matching the gradient, in which case the
-exact Newton step collapses to Q itself whenever B is nonsingular).
+and ``consistent`` uses w = beta (matching the gradient). The gradient is
+Q B + 2 (beta - w)(Q X lam)(X lam)', so without damping the Newton step is
+
+    Q B B^+ + 2 (beta - w) (Q X lam)(B^+ X lam)'.
+
+With a full-rank core (B B^+ = I) the step is therefore exactly Q for psi0
+(lam = 0), for beta = 1 in ``as_written`` mode, and always in ``consistent``
+mode: the update is then (1 -+ eta) Q, which re-orthonormalization undoes.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
-from .numerics import qr_orthonormalize_rows, row_normalize_l2, sym_eig
+from .numerics import qr_orthonormalize_rows, sym_eig
 from .svdd import (
     SV_EPS_FACTOR,
     AlphaVector,
@@ -155,14 +161,15 @@ def build_lambda(spec: RegularizationSpec, alpha: AlphaVector):
     return lam
 
 
-def objective(q, x, alpha_values, lam, beta):
-    """Augmented objective L(Q); reduces to the dual value when beta*Psi = 0.
+def objective(y, alpha_values, lam, beta):
+    """Augmented objective L(Q) of the projections Y = Q X.
 
-    The SVDD part is sum_i a_i ||y_i - Y a||^2 (sum(a) = 1), formed on the
-    projections centered at Y a, so that it does not lose digits when the
-    data lie far from the origin.
+    It reduces to the dual value when beta*Psi = 0. The SVDD part is
+    sum_i a_i ||y_i - Y a||^2 (sum(a) = 1), formed on the projections
+    centered at Y a, so that it does not lose digits when the data lie far
+    from the origin.
     """
-    y = project(q, x)
+    y = np.asarray(y, dtype=np.float64)
     a = np.asarray(alpha_values, dtype=np.float64)
     lam_v = np.asarray(lam, dtype=np.float64)
     if a.shape[0] != y.shape[1] or lam_v.shape[0] != y.shape[1]:
@@ -268,10 +275,6 @@ def apply_update(q, step, eta, direction):
     return q + sign * eta * step
 
 
-def _finalize(q_raw):
-    return row_normalize_l2(qr_orthonormalize_rows(q_raw))
-
-
 def update_step(q, grad, m, cfg: TrainConfig):
     """One optimizer step, before re-orthonormalization.
 
@@ -284,18 +287,21 @@ def update_step(q, grad, m, cfg: TrainConfig):
 
 
 def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
-    """Finalize q_raw, redrawing rows the QR flags as dependent (at most 3 times)."""
+    """Orthonormalize q_raw's rows (QR), redrawing rows the QR flags as dependent.
+
+    At most 3 redraws; after them a still dependent Q raises DegenerateSubspace.
+    """
     attempt = q_raw
     for _ in range(max_redraws):
         try:
-            return _finalize(attempt)
+            return qr_orthonormalize_rows(attempt)
         except RankDeficient as exc:
             rows = exc.rows if exc.rows else range(attempt.shape[0])
             attempt = attempt.copy()
             for r in rows:
                 attempt[r] = rng.standard_normal(attempt.shape[1])
     try:
-        return _finalize(attempt)
+        return qr_orthonormalize_rows(attempt)
     except RankDeficient as exc:
         raise DegenerateSubspace(
             f"projection stayed rank-deficient after {max_redraws} redraws"
@@ -303,7 +309,7 @@ def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
 
 
 def init_projection(d, big_d, rng):
-    """Seeded Gaussian init followed by orthonormalize + row normalize."""
+    """Seeded Gaussian init followed by QR orthonormalization of its rows."""
     return _orthonormalize_with_recovery(rng.standard_normal((d, big_d)), rng)
 
 
@@ -346,8 +352,8 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         yc = y - y.mean(axis=1, keepdims=True)
         return y, solve_dual(yc.T @ yc, cfg.C, alpha0=warm)
 
-    def record(k, q_now, alpha, y):
-        obj = objective(q_now, x_mat, alpha.alpha, build_lambda(reg, alpha), cfg.beta)
+    def record(k, q_now, alpha, y, lam):
+        obj = objective(y, alpha.alpha, lam, cfg.beta)
         score = None
         if eval_fn is not None:
             score = eval_fn(q_now, describe(alpha, y))
@@ -359,8 +365,9 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     while k < cfg.k_max:
         y, alpha = fit_dual(q, warm)
         warm = alpha.alpha
-        record(k, q, alpha, y)
-        block = support_block(x_mat, alpha.alpha, build_lambda(reg, alpha))
+        lam = build_lambda(reg, alpha)
+        record(k, q, alpha, y, lam)
+        block = support_block(x_mat, alpha.alpha, lam)
         grad = gradient(q, block, cfg.beta)
         m = None
         if cfg.optimizer == "newton":
@@ -369,6 +376,6 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         k += 1
 
     y, alpha = fit_dual(q, warm)
-    record(cfg.k_max, q, alpha, y)
+    record(cfg.k_max, q, alpha, y, build_lambda(reg, alpha))
     desc = describe(alpha, y)
     return SubspaceFit(q=q, description=desc, y_train=y, trace=trace)

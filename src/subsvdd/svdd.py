@@ -7,17 +7,21 @@ every point moves by the same offset, so callers pass the Gram matrix of the
 centered data (``subspace.train`` does). The center is c = sum_i a_i y_i in
 the caller's coordinates, and a point is inside the description when
 ||y - c||^2 <= R^2. The solver is a deterministic pairwise coordinate
-exchange: the pair most violating the KKT conditions is updated by the
-closed-form 2-variable solution, clipped to the box. Without a warm start it
-begins with alpha = C on the floor(1/C) points of largest G_ii, which for a
-centered Gram matrix are the points farthest from the mean, where the
-support vectors lie; an exchange zeroes at most one alpha, so a start spread
-over all N points would need at least N - #SV updates. On apparent convergence
-a certificate over all pairs shows that no feasible exchange improves the
-objective by more than ``tol``. It is computed on the block of pairs that can
-gain at all (i free to grow, j free to shrink, gradient of i above that of
-j); every other pair's step and gain are exactly 0, so the block gives the
-same answer as scoring all N^2 pairs.
+exchange: every update applies the feasible pair exchange of largest gain
+(maximal-gain working-set selection, Fan, Chen & Lin 2005), by the
+closed-form 2-variable solution clipped to the box. That pair is found on the
+block of pairs that can gain at all (i free to grow, j free to shrink,
+gradient of i above that of j); every other pair's step and gain are exactly
+0, so the block gives the same answer as scoring all N^2 pairs. The gradient
+is updated incrementally; when the best gain falls to ``tol`` after an update,
+the gradient is recomputed from scratch and the block scored once more. The
+solve stops only when the best gain on a freshly computed gradient is at most
+``tol``, which certifies that no feasible exchange improves the objective by
+more; a start that is already optimal costs one sweep. Without a warm start
+the solver begins with alpha = C on the floor(1/C) points of largest G_ii,
+which for a centered Gram matrix are the points farthest from the mean, where
+the support vectors lie; an exchange zeroes at most one alpha, so a start
+spread over all N points would need at least N - #SV updates.
 """
 from __future__ import annotations
 
@@ -75,7 +79,10 @@ def _pair_sweep(diag, gram, alpha, grad, C):
     For the ordered pair (i, j), mass t >= 0 moves from j to i; the gain of
     the optimal clipped step is num*t - den*t^2 with num = grad_i - grad_j
     and den = G_ii + G_jj - 2 G_ij (>= 0 for PSD G). Only positive directions
-    are scanned; the reversed pair covers the other sign.
+    are scanned; the reversed pair covers the other sign. den <= 0
+    (numerically) degrades the subproblem to a linear one, where the optimal
+    move is the full boundary step; flooring den makes the exact quotient
+    land beyond the bound and clip to it without special cases.
 
     A pair gains only when alpha_i < C, alpha_j > 0 and num > 0. So only rows
     i with alpha_i < C and grad_i above the least grad_j over alpha_j > 0,
@@ -93,25 +100,14 @@ def _pair_sweep(diag, gram, alpha, grad, C):
         if rows.size:
             num = grad[rows][:, None] - grad[cols][None, :]
             den = diag[rows][:, None] + diag[cols][None, :] - 2.0 * gram[np.ix_(rows, cols)]
-            t_hi = np.minimum(alpha[cols][None, :], C - alpha[rows][:, None])
-            t, gain = _best_partner_gains(num, den, t_hi)
+            t_hi = np.maximum(np.minimum(alpha[cols][None, :], C - alpha[rows][:, None]), 0.0)
+            t = np.minimum(np.maximum(num / (2.0 * np.maximum(den, 1e-30)), 0.0), t_hi)
+            t[num <= 0.0] = 0.0
+            gain = num * t - den * t * t
             r, c = divmod(int(np.argmax(gain)), cols.size)
             if gain[r, c] > 0.0:
                 return int(rows[r]), int(cols[c]), float(t[r, c]), float(gain[r, c])
     return 0, 0, 0.0, 0.0
-
-
-def _best_partner_gains(num, den, t_hi):
-    """Vectorized optimal clipped step and gain for a family of pairs.
-
-    den <= 0 (numerically) degrades the subproblem to a linear one, where the
-    optimal move is the full boundary step; flooring den makes the exact
-    quotient land beyond t_hi and clip to it without special cases.
-    """
-    t_hi = np.maximum(t_hi, 0.0)
-    t = np.minimum(np.maximum(num / (2.0 * np.maximum(den, 1e-30)), 0.0), t_hi)
-    t[num <= 0.0] = 0.0
-    return t, num * t - den * t * t
 
 
 def _cold_start(diag, C):
@@ -141,13 +137,13 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     feasible pairwise exchange improves the objective by more than tol. The
     default, 1e-12 * max(1, max G_ii), is far tighter than the documented
     1e-6 bound so that boundary support vectors agree with the radius to
-    ~1e-6 relative. The certificate covers every pair but is computed only
-    on the block of pairs that can gain (``_pair_sweep``), which near the
-    solution is a few rows and columns, not N x N. ``alpha0`` warm-starts the
-    iteration when it is already feasible (the iterative trainer passes the
-    previous alpha); otherwise alpha starts at C on the floor(1/C) points of
-    largest G_ii (ties in index order), with the remainder on the next point
-    (``_cold_start``). Raises InfeasibleC when C < 1/N and NotConverged when
+    ~1e-6 relative. Each update takes the best pair of ``_pair_sweep``,
+    scored on the block of pairs that can gain, which near the solution is a
+    few rows and columns, not N x N; the final sweep, on a freshly computed
+    G @ alpha, is the certificate. ``alpha0`` warm-starts the iteration when
+    it is already feasible (the iterative trainer passes the previous alpha);
+    otherwise alpha starts at C on the floor(1/C) points of largest G_ii (ties
+    in index order), with the remainder on the next point (``_cold_start``). Raises InfeasibleC when C < 1/N and NotConverged when
     the criterion is not met within ``max_passes`` pair updates (default
     10*N^2).
     """
@@ -181,49 +177,18 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
     if alpha is None:
         alpha = _cold_start(diag, c_bound)
     h = g_mat @ alpha  # cached G @ alpha
+    fresh = True  # h formed from scratch, no update since
     updates = 0
     while True:
-        grad = diag - 2.0 * h
-        up = alpha < c_bound
-        dn = alpha > 0.0
-        i = j = -1
-        t = gain = 0.0
-        if up.any() and dn.any():
-            # fix the most promising index on each side by gradient, then pick
-            # its partner by the actual gain of the clipped 2-variable step
-            i0 = int(np.argmax(np.where(up, grad, -np.inf)))
-            num_j = grad[i0] - grad
-            den_j = diag[i0] + diag - 2.0 * g_mat[:, i0]
-            t_j, gain_j = _best_partner_gains(
-                num_j, den_j, np.minimum(alpha, c_bound - alpha[i0])
-            )
-            gain_j[~dn] = -np.inf
-            gain_j[i0] = -np.inf
-            j0 = int(np.argmax(gain_j))
-
-            j1 = int(np.argmin(np.where(dn, grad, np.inf)))
-            num_i = grad - grad[j1]
-            den_i = diag + diag[j1] - 2.0 * g_mat[:, j1]
-            t_i, gain_i = _best_partner_gains(
-                num_i, den_i, np.minimum(alpha[j1], c_bound - alpha)
-            )
-            gain_i[~up] = -np.inf
-            gain_i[j1] = -np.inf
-            i1 = int(np.argmax(gain_i))
-
-            if gain_j[j0] >= gain_i[i1]:
-                i, j, t, gain = i0, j0, float(t_j[j0]), float(gain_j[j0])
-            else:
-                i, j, t, gain = i1, j1, float(t_i[i1]), float(gain_i[i1])
-
+        i, j, t, gain = _pair_sweep(diag, g_mat, alpha, diag - 2.0 * h, c_bound)
         if gain <= tol:
-            # working-set selection stalled: refresh the cache and certify
-            # against every pair that can gain before declaring convergence
-            h = g_mat @ alpha
-            grad = diag - 2.0 * h
-            i, j, t, gain = _pair_sweep(diag, g_mat, alpha, grad, c_bound)
-            if gain <= tol:
+            if fresh:
                 break
+            # the cached h carries the rounding of every update since it was
+            # formed: certify on a fresh G @ alpha before declaring convergence
+            h = g_mat @ alpha
+            fresh = True
+            continue
 
         old_i, old_j = alpha[i], alpha[j]
         total = old_i + old_j
@@ -236,6 +201,7 @@ def solve_dual(gram, C, tol=None, max_passes=None, alpha0=None):
             alpha[j] = c_bound
             alpha[i] = total - c_bound
         h += g_mat[:, i] * (alpha[i] - old_i) + g_mat[:, j] * (alpha[j] - old_j)
+        fresh = False
         updates += 1
         if updates > max_passes:
             raise NotConverged(

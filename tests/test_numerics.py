@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from subsvdd.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroRow
+from subsvdd.errors import DimensionMismatch, NotSymmetric, RankDeficient
 from oracles import damped_pinv_factor, solve_damped
-from subsvdd.numerics import qr_orthonormalize_rows, row_normalize_l2, sym_eig
+from subsvdd.numerics import qr_orthonormalize_rows, sym_eig
 
 
 def pinv(m, rel_tol=1e-10):
@@ -67,22 +67,6 @@ class TestQrOrthonormalizeRows:
     def test_wide_requirement(self):
         with pytest.raises(DimensionMismatch):
             qr_orthonormalize_rows(np.ones((3, 2)))
-
-
-class TestRowNormalize:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(
-            row_normalize_l2(np.array([[3.0, 4.0]])), np.array([[0.6, 0.8]])
-        )
-
-    def test_unit_rows_unchanged(self, rng):
-        m = rng.standard_normal((4, 6))
-        u = row_normalize_l2(m)
-        np.testing.assert_allclose(row_normalize_l2(u), u, atol=1e-15)
-
-    def test_zero_row_raises(self):
-        with pytest.raises(ZeroRow):
-            row_normalize_l2(np.array([[0.0, 0.0]]))
 
 
 class TestSymEig:

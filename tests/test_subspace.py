@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from oracles import TooLarge, hessian_full, solve_damped
+from oracles import TooLarge, damped_pinv_factor, hessian_full, solve_damped
 from subsvdd.errors import DimensionMismatch, InfeasibleC
 from subsvdd.subspace import (
     RegularizationSpec,
@@ -66,7 +66,7 @@ def fd_gradient(q, x, alpha, lam, beta, step=1e-5):
             qm = q.copy()
             qm[i, j] -= step
             g[i, j] = (
-                objective(qp, x, alpha, lam, beta) - objective(qm, x, alpha, lam, beta)
+                objective(qp @ x, alpha, lam, beta) - objective(qm @ x, alpha, lam, beta)
             ) / (2.0 * step)
     return g
 
@@ -139,17 +139,17 @@ class TestObjective:
     def test_single_point_is_zero(self):
         q = np.array([[1.0, 0.0]])
         x = np.array([[2.0], [1.0]])
-        assert objective(q, x, np.array([1.0]), np.array([0.0]), 1.0) == pytest.approx(0.0)
+        assert objective(q @ x, np.array([1.0]), np.array([0.0]), 1.0) == pytest.approx(0.0)
 
     def test_zero_q(self, rng):
         x = rng.standard_normal((3, 5))
         a = np.full(5, 0.2)
-        assert objective(np.zeros((2, 3)), x, a, a, 2.0) == 0.0
+        assert objective(np.zeros((2, 3)) @ x, a, a, 2.0) == 0.0
 
     def test_matches_literal_summation(self):
         for seed in range(5):
             q, x, alpha, lam = random_instance(seed, reg="psi2", beta=1.7)
-            fast = objective(q, x, alpha.alpha, lam, 1.7)
+            fast = objective(q @ x, alpha.alpha, lam, 1.7)
             slow = objective_by_summation(q, x, alpha.alpha, lam, 1.7)
             assert fast == pytest.approx(slow, abs=1e-10 * (1 + abs(slow)))
 
@@ -295,6 +295,26 @@ class TestUpdateStep:
             vec_step = solve_damped(h_full, g.reshape(-1), mu=mu)
             assert np.abs(rowwise.reshape(-1) - vec_step).max() <= 1e-9 * np.abs(vec_step).max()
         assert thin == {True, False}
+
+    @pytest.mark.parametrize("mode, weight", [("as_written", None), ("consistent", "beta")])
+    def test_newton_step_closed_form(self, mode, weight):
+        # for the gradient train passes, newton_step (mu = 0) is
+        # Q B B^+ + 2 (beta - w)(Q X lam)(B^+ X lam)'; with a full-rank core
+        # that is exactly Q for psi0, for beta = 1 and in consistent mode
+        for (reg, c, big_d, n, beta), seed in itertools.product(self.STEP_CASES, range(3)):
+            q, x, alpha, lam = random_instance(seed, d=2, big_d=big_d, n=n, reg=reg,
+                                               beta=beta, c=c)
+            w = beta if weight == "beta" else 1.0
+            block = support_block(x, alpha.alpha, lam)
+            m = hessian_core(block, beta, mode)
+            u, inv = damped_pinv_factor(2.0 * m @ m.T)
+            b_pinv = (u * inv) @ u.T
+            xl = block[1]
+            closed = q @ (2.0 * m @ m.T) @ b_pinv + 2.0 * (beta - w) * np.outer(q @ xl, b_pinv @ xl)
+            step = newton_step(gradient(q, block, beta), m)
+            assert np.abs(step - closed).max() <= 1e-9 * np.abs(closed).max()
+            if np.linalg.matrix_rank(m) == big_d and (reg == "psi0" or beta == w):
+                assert np.abs(step - q).max() <= 1e-9
 
     def test_rank_recovery_redraws_dependent_rows(self):
         from subsvdd.subspace import _orthonormalize_with_recovery

@@ -212,8 +212,9 @@ class TestPairSweep:
 
         monkeypatch.setattr(svdd, "_pair_sweep", full)
         swapped, _ = fit_occ_model(x, spec, **kw)
-        # one certificate per dual solve; their best pairs gain (below tol)
-        assert len(gains) == kw["k_max"] and min(gains) > 0.0
+        # every pair update and each dual solve's certificate come from the
+        # sweep: at least one sweep per solve, and the best pairs gain
+        assert len(gains) >= kw["k_max"] and min(gains) > 0.0
         assert np.array_equal(model.q, swapped.q)
         assert np.array_equal(model.description.alpha.alpha, swapped.description.alpha.alpha)
         assert model.description.radius_sq == swapped.description.radius_sq
