@@ -23,12 +23,12 @@ DEFAULT_RANK_TOL = 1e-10
 class NptBasis:
     """Everything needed to map new points into the explicit feature space."""
 
-    phi: np.ndarray  # r x N explicit training features
     u_r: np.ndarray  # N x r retained eigenvectors
     eigvals_r: np.ndarray  # r retained (positive) eigenvalues
-    k_train: np.ndarray = field(repr=False)  # original N x N kernel
-    sigma: float = 1.0
-    train_x: np.ndarray = field(repr=False, default=None)  # D x N original features
+    k_row_mean: np.ndarray  # N row means of the uncentered training kernel
+    sigma: float
+    train_x: np.ndarray = field(repr=False)  # D x N original features
+    phi: np.ndarray | None = field(repr=False, default=None)  # r x N; None once loaded
 
     @property
     def rank(self):
@@ -106,7 +106,12 @@ def build_npt(x, sigma, rank_tol=DEFAULT_RANK_TOL):
     k = rbf_kernel(x_mat, sigma)
     phi, u_r, vals_r = npt_fit(center_kernel(k), rank_tol=rank_tol)
     return NptBasis(
-        phi=phi, u_r=u_r, eigvals_r=vals_r, k_train=k, sigma=float(sigma), train_x=x_mat
+        u_r=u_r,
+        eigvals_r=vals_r,
+        k_row_mean=k.mean(axis=1),
+        sigma=float(sigma),
+        train_x=x_mat,
+        phi=phi,
     )
 
 
@@ -115,7 +120,8 @@ def npt_map(x_new, basis: NptBasis):
 
     Each column's kernel vector against the training set is centered with the
     training statistics, k_hat* = (I - 11'/N)(k* - K 1/N), then projected
-    through the retained eigenbasis: phi* = A_r^{-1/2} U_r' k_hat*.
+    through the retained eigenbasis: phi* = A_r^{-1/2} U_r' k_hat*. Of the
+    training kernel K only its stored row means K 1/N are read.
     """
     pts = np.asarray(x_new, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] != basis.train_x.shape[0]:
@@ -124,7 +130,7 @@ def npt_map(x_new, basis: NptBasis):
             f"{basis.train_x.shape[0]}"
         )
     k_star = rbf_kernel_cross(basis.train_x, pts, basis.sigma)  # N x M
-    v = k_star - basis.k_train.mean(axis=1, keepdims=True)
+    v = k_star - basis.k_row_mean[:, None]
     k_hat_star = v - v.mean(axis=0, keepdims=True)
     return (basis.u_r / np.sqrt(basis.eigvals_r)).T @ k_hat_star
 

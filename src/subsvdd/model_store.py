@@ -1,10 +1,11 @@
 """Serialization of trained models and the standalone prediction path.
 
-Models are stored as JSON (format_version 1) with matrices as nested
+Models are stored as JSON (format_version 2) with matrices as nested
 row-major lists. Python's float repr round-trips IEEE doubles exactly, so a
-save/load cycle reproduces predictions bit for bit. Prediction reads Q, the
-center and the radius (and the kernel basis for rbf models); ``Y_train`` and
-``alpha`` are stored and validated but not used to decide.
+save/load cycle reproduces predictions bit for bit. A file holds what
+prediction reads (the config and scaling, Q, the center and radius, and for
+rbf models the kernel eigenmap) plus alpha and the support-vector indices,
+which are validated but not used to decide. Format 1 files still load.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ from .errors import (
 from .kernel import NptBasis, npt_map
 from .svdd import AlphaVector, DataDescription, decide_batch
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+DESCRIPTION_KEYS = ("alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices")
 
 CONFIG_KEYS = (
     "method",
@@ -52,34 +55,43 @@ class TrainedModel:
     config: dict
     q: np.ndarray
     description: DataDescription
-    y_train: np.ndarray = field(repr=False)
+    y_train: np.ndarray | None = field(repr=False, default=None)  # d x N; None once loaded
     npt: NptBasis | None = field(repr=False, default=None)
-    format_version: int = FORMAT_VERSION
 
 
 def _check_model(model: TrainedModel):
-    cfg = model.config
-    missing = [k for k in CONFIG_KEYS if k not in cfg]
-    if missing:
-        raise SchemaError(f"config is missing keys {missing}")
-    if (cfg["kernel"] == "rbf") != (model.npt is not None):
+    cfg = _fields(model.config, "config", CONFIG_KEYS)
+    npt = model.npt
+    if (cfg["kernel"] == "rbf") != (npt is not None):
         raise InvariantViolation("kernel == 'rbf' must coincide with an npt block")
     q = model.q
     dev = np.abs(q @ q.T - np.eye(q.shape[0])).max()
-    if dev > 1e-8:
+    if not dev <= 1e-8:  # false for NaN too
         raise InvariantViolation(f"Q rows not orthonormal (deviation {dev:.3e})")
     desc = model.description
-    n = model.y_train.shape[1]
-    if desc.alpha.alpha.shape[0] != n:
-        raise InvariantViolation("alpha length does not match Y_train columns")
+    n = desc.alpha.alpha.shape[0]
+    for name in ("sv_indices", "boundary_sv_indices"):
+        idx = getattr(desc, name)
+        if idx.size and not (idx.min() >= 0 and idx.max() < n):
+            raise InvariantViolation(f"{name} point outside the {n} training points")
     if desc.center.shape[0] != q.shape[0]:
         raise InvariantViolation("center dimension does not match Q rows")
-    if desc.radius_sq < 0.0:
+    if not desc.radius_sq >= 0.0:
         raise InvariantViolation("radius_sq is negative")
+    if npt is not None:
+        r = npt.eigvals_r.shape[0]
+        if npt.train_x.shape[1] != n or npt.u_r.shape != (n, r) or npt.k_row_mean.shape != (n,):
+            raise InvariantViolation("npt block does not match the alpha length")
+        if q.shape[1] != r:
+            raise InvariantViolation("Q columns do not match the kernel rank")
+        if not (npt.sigma > 0.0 and np.all(npt.eigvals_r > 0.0)):
+            raise InvariantViolation("sigma and the kept eigenvalues must be positive")
     if cfg["scaling"] is not None:
-        mean = np.asarray(cfg["scaling"]["mean"])
-        if mean.shape[0] != _input_dim(model):
-            raise InvariantViolation("scaling vectors do not match the input dimension")
+        scaling = _fields(cfg["scaling"], "scaling", ("mean", "std"))
+        mean, std = (_array(scaling[key], key, 1) for key in ("mean", "std"))
+        dim = _input_dim(model)
+        if not (mean.shape == std.shape == (dim,) and np.all(std > 0.0)):
+            raise SchemaError(f"scaling must hold a mean and a positive std of {dim} features")
 
 
 def _input_dim(model: TrainedModel):
@@ -89,11 +101,11 @@ def _input_dim(model: TrainedModel):
 
 
 def save(model: TrainedModel, path):
-    """Write the model as a format_version 1 JSON document."""
+    """Write the model as a format_version 2 JSON document."""
     _check_model(model)
     desc = model.description
     payload = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "config": {k: model.config[k] for k in CONFIG_KEYS},
         "Q": model.q.tolist(),
         "description": {
@@ -103,14 +115,12 @@ def save(model: TrainedModel, path):
             "sv_indices": desc.sv_indices.tolist(),
             "boundary_sv_indices": desc.boundary_sv_indices.tolist(),
         },
-        "Y_train": model.y_train.tolist(),
     }
     if model.npt is not None:
         payload["npt"] = {
-            "Phi": model.npt.phi.tolist(),
             "U_r": model.npt.u_r.tolist(),
             "eigvals_r": model.npt.eigvals_r.tolist(),
-            "K_train": model.npt.k_train.tolist(),
+            "K_row_mean": model.npt.k_row_mean.tolist(),
             "sigma": model.npt.sigma,
             "train_X": model.npt.train_x.tolist(),
         }
@@ -119,78 +129,80 @@ def save(model: TrainedModel, path):
         fh.write("\n")
 
 
-def _matrix(obj, key):
-    try:
-        m = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SchemaError(f"field {key!r} is not a numeric matrix") from None
-    if m.ndim != 2:
-        raise SchemaError(f"field {key!r} must be 2-D")
-    return m
+def _fields(obj, name, keys):
+    """``obj`` itself, once it is a JSON object that holds every key in ``keys``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{name} must be an object")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{name} is missing field {key!r}")
+    return obj
 
 
-def _vector(obj, key):
+def _array(obj, key, ndim):
+    """A JSON number (ndim 0), list (1) or list of lists (2) of finite floats."""
     try:
-        v = np.asarray(obj, dtype=np.float64)
+        a = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError):
-        raise SchemaError(f"field {key!r} is not a numeric vector") from None
-    if v.ndim != 1:
-        raise SchemaError(f"field {key!r} must be 1-D")
-    return v
+        a = None
+    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+        shape = ("number", "vector", "matrix")[ndim]
+        raise SchemaError(f"field {key!r} must be a {shape} of finite values")
+    return a
+
+
+def _indices(obj, key):
+    """A JSON list of integers."""
+    try:
+        idx = np.asarray(obj)
+    except ValueError:
+        idx = None
+    if idx is None or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise SchemaError(f"field {key!r} must be a list of integers")
+    return idx.astype(np.int64)
 
 
 def load(path) -> TrainedModel:
-    """Read and validate a model file; invariants are re-checked."""
+    """Read and validate a model file; invariants are re-checked.
+
+    A format 1 file's ``Y_train`` and ``npt.Phi`` are ignored, and of its
+    ``npt.K_train`` only the row means are kept.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: top level must be an object")
+    _fields(payload, f"{path}: top level", ())
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise VersionError(f"unknown format_version {version!r}")
-    for key in ("config", "Q", "description", "Y_train"):
-        if key not in payload:
-            raise SchemaError(f"model file is missing field {key!r}")
-    cfg = payload["config"]
-    if not isinstance(cfg, dict):
-        raise SchemaError("field 'config' must be an object")
-    q = _matrix(payload["Q"], "Q")
-    y_train = _matrix(payload["Y_train"], "Y_train")
-    d_raw = payload["description"]
-    if not isinstance(d_raw, dict):
-        raise SchemaError("field 'description' must be an object")
-    for key in ("alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices"):
-        if key not in d_raw:
-            raise SchemaError(f"description is missing field {key!r}")
-    alpha = AlphaVector(alpha=_vector(d_raw["alpha"], "alpha"), C=float(cfg.get("C", 0.0)))
+    _fields(payload, "model file", ("config", "Q", "description"))
+    cfg = _fields(payload["config"], "config", CONFIG_KEYS)
+    d_raw = _fields(payload["description"], "description", DESCRIPTION_KEYS)
     desc = DataDescription(
-        alpha=alpha,
-        center=_vector(d_raw["center"], "center"),
-        radius_sq=float(d_raw["radius_sq"]),
-        sv_indices=np.asarray(d_raw["sv_indices"], dtype=np.int64),
-        boundary_sv_indices=np.asarray(d_raw["boundary_sv_indices"], dtype=np.int64),
+        alpha=AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(_array(cfg["C"], "C", 0))),
+        center=_array(d_raw["center"], "center", 1),
+        radius_sq=float(_array(d_raw["radius_sq"], "radius_sq", 0)),
+        sv_indices=_indices(d_raw["sv_indices"], "sv_indices"),
+        boundary_sv_indices=_indices(d_raw["boundary_sv_indices"], "boundary_sv_indices"),
     )
     npt = None
     if "npt" in payload:
-        n_raw = payload["npt"]
-        for key in ("Phi", "U_r", "eigvals_r", "K_train", "sigma", "train_X"):
-            if key not in n_raw:
-                raise SchemaError(f"npt block is missing field {key!r}")
+        n_raw = _fields(payload["npt"], "npt block", ("U_r", "eigvals_r", "sigma", "train_X"))
+        if version == 1:  # format 1 held the whole N x N training kernel
+            k_row_mean = _array(n_raw.get("K_train"), "K_train", 2).mean(axis=1)
+        else:
+            k_row_mean = _array(n_raw.get("K_row_mean"), "K_row_mean", 1)
         npt = NptBasis(
-            phi=_matrix(n_raw["Phi"], "Phi"),
-            u_r=_matrix(n_raw["U_r"], "U_r"),
-            eigvals_r=_vector(n_raw["eigvals_r"], "eigvals_r"),
-            k_train=_matrix(n_raw["K_train"], "K_train"),
-            sigma=float(n_raw["sigma"]),
-            train_x=_matrix(n_raw["train_X"], "train_X"),
+            u_r=_array(n_raw["U_r"], "U_r", 2),
+            eigvals_r=_array(n_raw["eigvals_r"], "eigvals_r", 1),
+            k_row_mean=k_row_mean,
+            sigma=float(_array(n_raw["sigma"], "sigma", 0)),
+            train_x=_array(n_raw["train_X"], "train_X", 2),
         )
-    model = TrainedModel(
-        config=cfg, q=q, description=desc, y_train=y_train, npt=npt, format_version=version
-    )
+    model = TrainedModel(config=cfg, q=_array(payload["Q"], "Q", 2), description=desc, npt=npt)
     _check_model(model)
     return model
 

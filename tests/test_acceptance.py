@@ -163,9 +163,9 @@ def test_criterion_5_npt_reconstruction_and_test_pipeline():
             x = gen.standard_normal((6, n))
             basis = build_npt(x, sigma)
             k_hat = basis.phi.T @ basis.phi
-            from subsvdd.kernel import center_kernel
+            from subsvdd.kernel import center_kernel, rbf_kernel
 
-            ref = center_kernel(basis.k_train)
+            ref = center_kernel(rbf_kernel(x, sigma))
             rel = np.linalg.norm(k_hat - ref) / np.linalg.norm(ref)
             worst_rec = max(worst_rec, rel)
             assert rel <= 1e-8

@@ -129,6 +129,19 @@ class TestPredictCommand:
         code = main(["predict", "--model", str(model), "--data", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("radius_sq", None), ("radius_sq", float("nan")), ("sv_indices", ["a"])]
+    )
+    def test_malformed_model_exits_2(self, tmp_path, field, value):
+        data, model = self._model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["description"][field] = value
+        model.write_text(json.dumps(payload))
+        code = main(
+            ["predict", "--model", str(model), "--data", str(data), "--label-column", "last"]
+        )
+        assert code == 2
+
 
 class TestBenchmarkCommand:
     def _config(self, tmp_path, timing=False):

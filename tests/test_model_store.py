@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_blobs
+from subsvdd.cli import main
+from subsvdd.data import load_features_csv
 from subsvdd.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -12,6 +15,10 @@ from subsvdd.errors import (
 )
 from subsvdd.model_store import load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
+
+
+FORMAT2_KEYS = {"format_version", "config", "Q", "description"}
+DESCRIPTION_KEYS = {"alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices"}
 
 
 def linear_model(seed=0, zscore=False):
@@ -87,14 +94,31 @@ class TestRoundTrip:
         path = tmp_path / "m.json"
         save(linear_model(), path)
         payload = json.loads(path.read_text())
-        assert "npt" not in payload
-        assert payload["format_version"] == 1
+        assert set(payload) == FORMAT2_KEYS
+        assert set(payload["description"]) == DESCRIPTION_KEYS
+        assert payload["format_version"] == 2
 
     def test_rbf_model_has_npt_block(self, tmp_path):
         path = tmp_path / "m.json"
         save(rbf_model(), path)
         payload = json.loads(path.read_text())
-        assert set(payload["npt"]) == {"Phi", "U_r", "eigvals_r", "K_train", "sigma", "train_X"}
+        assert set(payload) == FORMAT2_KEYS | {"npt"}
+        assert set(payload["description"]) == DESCRIPTION_KEYS
+        assert set(payload["npt"]) == {"U_r", "eigvals_r", "K_row_mean", "sigma", "train_X"}
+        assert payload["format_version"] == 2
+
+    def test_loaded_model_holds_no_training_features(self, tmp_path):
+        path = tmp_path / "m.json"
+        save(rbf_model(), path)
+        loaded = load(path)
+        assert loaded.y_train is None
+        assert loaded.npt.phi is None
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save(rbf_model(), first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestLoadValidation:
@@ -130,6 +154,124 @@ class TestLoadValidation:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             load(path)
+
+
+def _edited(tmp_path, model, edit):
+    """Save ``model``, apply ``edit`` to the parsed file and write it back."""
+    path = tmp_path / "m.json"
+    save(model, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(payload):
+        for key in keys:
+            payload = payload[key]
+        payload[last] = value
+
+    return edit
+
+
+class TestLoadRejectsMalformedFields:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set("Q", 0, 0, float("nan")),
+            _set("description", "center", 0, float("nan")),
+            _set("description", "radius_sq", float("nan")),
+            _set("description", "radius_sq", float("inf")),
+            _set("description", "alpha", 0, float("-inf")),
+        ],
+        ids=["Q-nan", "center-nan", "radius_sq-nan", "radius_sq-inf", "alpha-inf"],
+    )
+    def test_non_finite_linear_field(self, tmp_path, edit):
+        with pytest.raises(SchemaError, match="finite"):
+            load(_edited(tmp_path, linear_model(), edit))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set("npt", "sigma", float("nan")),
+            _set("npt", "K_row_mean", 0, float("inf")),
+            _set("npt", "train_X", 0, 0, float("nan")),
+            _set("npt", "sigma", None),
+        ],
+        ids=["sigma-nan", "K_row_mean-inf", "train_X-nan", "sigma-null"],
+    )
+    def test_non_finite_rbf_field(self, tmp_path, edit):
+        with pytest.raises(SchemaError, match="finite"):
+            load(_edited(tmp_path, rbf_model(), edit))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set("description", "radius_sq", None),
+            _set("description", "sv_indices", ["a"]),
+            _set("description", "sv_indices", [0.5]),
+            _set("config", "C", None),
+            _set("config", "scaling", [1.0, 2.0]),
+            _set("config", "scaling", {"mean": [0.0] * 5}),
+            _set("config", "scaling", {"mean": [0.0] * 4, "std": [1.0] * 4}),
+            _set("config", "scaling", {"mean": [0.0] * 5, "std": [1.0] * 4 + [0.0]}),
+        ],
+        ids=[
+            "radius_sq-null", "sv_indices-str", "sv_indices-float", "C-null",
+            "scaling-list", "scaling-no-std", "scaling-short", "scaling-zero-std",
+        ],
+    )
+    def test_malformed_linear_field(self, tmp_path, edit):
+        with pytest.raises(SchemaError):
+            load(_edited(tmp_path, linear_model(zscore=True), edit))
+
+    def test_index_outside_training_points(self, tmp_path):
+        edit = _set("description", "sv_indices", [0, 10_000])
+        with pytest.raises(InvariantViolation, match="sv_indices"):
+            load(_edited(tmp_path, linear_model(), edit))
+
+    @pytest.mark.parametrize(
+        "edit", [_set("npt", "sigma", -1.0), _set("npt", "eigvals_r", 0, 0.0)],
+        ids=["sigma-negative", "eigval-zero"],
+    )
+    def test_non_positive_kernel_scale(self, tmp_path, edit):
+        with pytest.raises(InvariantViolation, match="positive"):
+            load(_edited(tmp_path, rbf_model(), edit))
+
+    def test_kernel_row_means_of_wrong_length(self, tmp_path):
+        edit = _set("npt", "K_row_mean", [0.5])
+        with pytest.raises(InvariantViolation, match="npt block"):
+            load(_edited(tmp_path, rbf_model(), edit))
+
+
+FORMAT1 = Path(__file__).parent / "fixtures" / "format1"
+
+
+class TestFormat1:
+    """Format-1 files, written by the format-1 writer (see fixtures/format1/README.md)."""
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_predictions_byte_identical(self, tmp_path, kind):
+        out = tmp_path / "p.csv"
+        args = ["predict", "--model", str(FORMAT1 / f"{kind}.json"),
+                "--data", str(FORMAT1 / "probes.csv"), "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == (FORMAT1 / f"{kind}_predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_resaved_as_format2_predicts_the_same(self, tmp_path, kind):
+        old = load(FORMAT1 / f"{kind}.json")
+        path = tmp_path / "m.json"
+        save(old, path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert set(payload) == FORMAT2_KEYS | ({"npt"} if kind == "rbf" else set())
+        probes = load_features_csv(FORMAT1 / "probes.csv")
+        for before, after in zip(predict(old, probes), predict(load(path), probes)):
+            assert before.tobytes() == after.tobytes()
 
 
 class TestPredict:
