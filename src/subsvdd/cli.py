@@ -117,7 +117,7 @@ def _cmd_predict(args):
     lines = ["row_index,distance_sq,label"]
     for i in range(feats.shape[1]):
         label = "positive" if pos[i] else "negative"
-        lines.append(f"{i},{dist[i]!r},{label}")
+        lines.append(f"{i},{float(dist[i])!r},{label}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,12 +27,14 @@ when s + 1 < D (B's eigenvectors are then M V Lambda^{-1/2}) and MM'
 otherwise, so a fit with few support vectors in a large feature space (the
 rbf eigenmap) pays for its support, not for D.
 
-The dual in each subspace is solved on the Gram matrix of the centered
-projections, which is exact because sum(a) = 1 and keeps the solution
-independent of where the origin lies; the objective's SVDD part is likewise
-formed on projections centered at Y a. The center (Y a) and the regularizers
-use the projections as they are: Psi depends on the origin by definition.
-Plain SVDD is this fit with Q = I held fixed (k_max = 1).
+The dual in each subspace receives the projections themselves, Y' (N x d),
+and ``solve_dual`` centers them, which is exact because sum(a) = 1 and keeps
+the solution independent of where the origin lies. Their Gram matrix has
+rank at most d and is never formed: the solver works from the N x d rows.
+The objective's SVDD part is likewise formed on projections centered at Y a.
+The center (Y a) and the regularizers use the projections as they are: Psi
+depends on the origin by definition. Plain SVDD is this fit with Q = I held
+fixed (k_max = 1), so its dual receives the D x N features' transpose.
 
 The Hessian weight w on lam lam' is configurable: ``as_written`` uses w = 1
 and ``consistent`` uses w = beta (matching the gradient). The gradient is
@@ -349,8 +351,7 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
 
     def fit_dual(q_now, warm):
         y = project(q_now, x_mat)
-        yc = y - y.mean(axis=1, keepdims=True)
-        return y, solve_dual(yc.T @ yc, cfg.C, alpha0=warm)
+        return y, solve_dual(y.T, cfg.C, alpha0=warm)
 
     def record(k, q_now, alpha, y, lam):
         obj = objective(y, alpha.alpha, lam, cfg.beta)

@@ -7,6 +7,7 @@ import numpy as np
 
 from subsvdd.errors import DimensionMismatch
 from subsvdd.numerics import as_matrix, sym_eig
+from subsvdd.svdd import _gram_block
 
 HESSIAN_FULL_CAP = 2500  # hard cap on d*D for the brute-force assembly
 
@@ -87,16 +88,18 @@ def dual_objective(gram, alpha):
     return float(np.dot(alpha, np.diag(gram)) - alpha @ gram @ alpha)
 
 
-def pair_sweep_full(diag, gram, alpha, grad, C):
+def pair_sweep_full(diag, points, alpha, grad, C):
     """Best pairwise exchange of the SVDD dual, scoring all N x N pairs.
 
     Same contract as ``svdd._pair_sweep``: (i, j, t, gain) for moving mass
     t >= 0 from j to i, the first row-major maximum of the gain. The step is
     the clipped optimum of num*t - den*t^2, num = grad_i - grad_j and
-    den = G_ii + G_jj - 2 G_ij, with t <= min(alpha_j, C - alpha_i).
+    den = G_ii + G_jj - 2 G_ij, with t <= min(alpha_j, C - alpha_i). The
+    full Gram G = P P' of the rows of ``points`` comes from the solver's own
+    ``_gram_block``, whose entries do not depend on the block's shape.
     """
     num = grad[:, None] - grad[None, :]
-    den = diag[:, None] + diag[None, :] - 2.0 * gram
+    den = diag[:, None] + diag[None, :] - 2.0 * _gram_block(points, points)
     t_hi = np.maximum(np.minimum(alpha[None, :], C - alpha[:, None]), 0.0)
     t = np.minimum(np.maximum(num / (2.0 * np.maximum(den, 1e-30)), 0.0), t_hi)
     t[num <= 0.0] = 0.0

@@ -133,7 +133,7 @@ def test_criterion_4_dual_optimality_against_grid_oracle():
         gen = np.random.default_rng(seed)
         y = gen.standard_normal((2, n))
         gram = y.T @ y
-        av = solve_dual(gram, c)
+        av = solve_dual(y.T, c)
         got = dual_objective(gram, av.alpha)
         oracle = simplex_grid_max(gram, c, step=1e-3)
         assert got >= oracle - 1e-5

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from subsvdd import model_store
 from subsvdd.cli import main
+from subsvdd.data import load_csv
 
 
 def write_blob_csv(path, seed=0, n_target=40, n_out=30, dim=4, shift=7.0):
@@ -121,6 +123,19 @@ class TestPredictCommand:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 6
+
+    def test_distances_are_plain_numbers_equal_to_predict(self, tmp_path):
+        data, model = self._model(tmp_path)
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--label-column", "last", "--out", str(out)])
+        assert code == 0
+        fields = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        dist, pos = model_store.predict(model_store.load(model),
+                                        load_csv(data, label_column="last").features)
+        assert [int(f[0]) for f in fields] == list(range(dist.shape[0]))
+        assert np.array([float(f[1]) for f in fields]).tobytes() == dist.tobytes()
+        assert [f[2] == "positive" for f in fields] == pos.tolist()
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         _, model = self._model(tmp_path)

@@ -31,7 +31,7 @@ def random_instance(seed, d=2, big_d=4, n=6, reg="psi2", beta=1.0, c=None):
     x = gen.standard_normal((big_d, n))
     if c is None:
         c = max(0.4, 1.0 / n)
-    alpha = solve_dual((q @ x).T @ (q @ x), c)
+    alpha = solve_dual((q @ x).T, c)
     spec = RegularizationSpec(kind=reg, beta=beta, boundary_eps=1e-6 * c)
     lam = build_lambda(spec, alpha)
     return q, x, alpha, lam

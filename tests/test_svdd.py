@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,14 @@ from subsvdd.errors import (
 )
 from oracles import dual_objective, pair_sweep_full
 from subsvdd.pipeline import fit_occ_model, parse_method
-from subsvdd.svdd import AlphaVector, _pair_sweep, decide_batch, describe, solve_dual
+from subsvdd.svdd import (
+    AlphaVector,
+    _gram_block,
+    _pair_sweep,
+    decide_batch,
+    describe,
+    solve_dual,
+)
 
 
 def simplex_grid_max(gram, c_bound, step=1e-3):
@@ -82,7 +91,7 @@ class TestSolveDual:
 
     def test_symmetric_pair(self):
         y = np.array([[-1.0, 1.0]])
-        av = solve_dual(y.T @ y, C=1.0)
+        av = solve_dual(y.T, C=1.0)
         np.testing.assert_allclose(av.alpha, [0.5, 0.5], atol=1e-9)
 
     def test_infeasible_c(self):
@@ -90,15 +99,18 @@ class TestSolveDual:
             solve_dual(np.eye(4), C=0.2)
 
     def test_c_equal_one_over_n_forces_uniform(self):
-        g = np.eye(4)
-        av = solve_dual(g, C=0.25)
+        av = solve_dual(np.eye(4), C=0.25)
         np.testing.assert_allclose(av.alpha, np.full(4, 0.25), atol=1e-12)
+
+    def test_points_must_be_rows(self):
+        with pytest.raises(DimensionMismatch):
+            solve_dual(np.ones(4), C=0.5)
 
     def test_constraints_always_hold(self, rng):
         for _ in range(10):
             y = rng.standard_normal((3, 12))
             c = float(rng.uniform(1.0 / 12, 0.6))
-            av = solve_dual(y.T @ y, c)
+            av = solve_dual(y.T, c)
             av.validate()
 
     @pytest.mark.parametrize(
@@ -109,7 +121,7 @@ class TestSolveDual:
         gen = np.random.default_rng(seed)
         y = gen.standard_normal((2, n))
         gram = y.T @ y
-        av = solve_dual(gram, c)
+        av = solve_dual(y.T, c)
         got = dual_objective(gram, av.alpha)
         oracle = simplex_grid_max(gram, c, step=1e-3)
         assert got >= oracle - 1e-5
@@ -121,15 +133,14 @@ class TestSolveDual:
         y = gen.standard_normal((2, 3))
         gram = y.T @ y
         oracle = simplex_grid_max(gram, 0.5, step=1e-3)
-        av = solve_dual(gram, 0.5)
+        av = solve_dual(y.T, 0.5)
         assert dual_objective(gram, av.alpha) >= oracle - 1e-5
         assert oracle == pytest.approx(3.0267915186149077, abs=1e-9)
 
     def test_deterministic(self, rng):
         y = rng.standard_normal((3, 15))
-        g = y.T @ y
-        a1 = solve_dual(g, 0.2).alpha
-        a2 = solve_dual(g, 0.2).alpha
+        a1 = solve_dual(y.T, 0.2).alpha
+        a2 = solve_dual(y.T, 0.2).alpha
         assert np.array_equal(a1, a2)
 
     def test_not_converged_when_budget_exhausted(self, rng):
@@ -137,16 +148,13 @@ class TestSolveDual:
 
         y = rng.standard_normal((3, 30))
         with pytest.raises(NotConverged):
-            solve_dual(y.T @ y, 0.1, max_passes=2)
+            solve_dual(y.T, 0.1, max_passes=2)
 
     def test_translation_invariance_of_alpha(self, rng):
         y = rng.standard_normal((2, 10))
         t = np.array([5.0, -3.0])
-        g1 = y.T @ y
-        yt = y + t[:, None]
-        g2 = yt.T @ yt
-        a1 = solve_dual(g1, 0.3).alpha
-        a2 = solve_dual(g2, 0.3).alpha
+        a1 = solve_dual(y.T, 0.3).alpha
+        a2 = solve_dual((y + t[:, None]).T, 0.3).alpha
         np.testing.assert_allclose(a1, a2, atol=1e-9)
 
 
@@ -157,8 +165,9 @@ UNITS = 64
 
 @st.composite
 def sweep_instances(draw):
-    """A PSD Gram matrix (possibly rank-deficient, with duplicated points), a
-    feasible alpha with entries exactly at 0 and at C, and the dual gradient."""
+    """Points as rows (possibly rank-deficient, with duplicates), their G_ii,
+    a feasible alpha with entries exactly at 0 and at C, and the dual
+    gradient."""
     n = draw(st.integers(2, 12))
     rank = draw(st.integers(1, n))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -169,7 +178,8 @@ def sweep_instances(draw):
     for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                   max_size=3)):
         pts[:, dst] = pts[:, src]
-    gram = pts.T @ pts
+    points = pts.T
+    gram = _gram_block(points, points)
     cap = draw(st.integers(-(-UNITS // n), UNITS))
     counts = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
     # move units onto or off the entries in turn until they sum to UNITS;
@@ -181,17 +191,17 @@ def sweep_instances(draw):
         excess += move
     alpha = np.array(counts, dtype=float) / UNITS
     diag = np.diag(gram).copy()
-    return diag, gram, alpha, diag - 2.0 * gram @ alpha, cap / UNITS
+    return diag, points, alpha, diag - 2.0 * gram @ alpha, cap / UNITS
 
 
 class TestPairSweep:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(sweep_instances())
     def test_block_matches_full_sweep(self, instance):
-        diag, gram, alpha, grad, c = instance
+        diag, points, alpha, grad, c = instance
         assert alpha.sum() == 1.0 and alpha.min() >= 0.0 and alpha.max() <= c
-        full = pair_sweep_full(diag, gram, alpha, grad, c)
-        block = _pair_sweep(diag, gram, alpha, grad, c)
+        full = pair_sweep_full(diag, points, alpha, grad, c)
+        block = _pair_sweep(diag, points, alpha, grad, c)
         if full[3] > 0.0:
             assert block == full
         else:
@@ -264,7 +274,7 @@ class TestDescribe:
     def test_kkt_complementarity_on_cloud(self, rng):
         y = rng.standard_normal((2, 20))
         c = 0.2
-        av = solve_dual(y.T @ y, c)
+        av = solve_dual(y.T, c)
         desc = describe(av, y)
         dist = ((y - desc.center[:, None]) ** 2).sum(axis=0)
         slack = 1e-6 * (1.0 + desc.radius_sq)
@@ -303,9 +313,9 @@ class TestDecide:
     def test_translation_covariance_end_to_end(self, rng):
         y = rng.standard_normal((2, 15))
         t = np.array([2.0, -7.0])
-        av1 = solve_dual(y.T @ y, 0.25)
+        av1 = solve_dual(y.T, 0.25)
         yt = y + t[:, None]
-        av2 = solve_dual(yt.T @ yt, 0.25)
+        av2 = solve_dual(yt.T, 0.25)
         d1 = describe(av1, y)
         d2 = describe(av2, yt)
         np.testing.assert_allclose(d2.center, d1.center + t, atol=1e-8)
@@ -318,9 +328,9 @@ class TestDecide:
 
 @st.composite
 def dual_instances(draw):
-    """Points (possibly rank-deficient, with duplicates), their centered Gram
-    matrix and a box bound C in [1/N, 1.5], with C = 1/N exactly and
-    C N = 1 - 5e-10 (inside the feasibility slack) among the draws."""
+    """Centered points as rows (possibly rank-deficient, with duplicates) and
+    a box bound C in [1/N, 1.5], with C = 1/N exactly and C N = 1 - 5e-10
+    (inside the feasibility slack) among the draws."""
     n = draw(st.integers(2, 12))
     rank = draw(st.integers(1, n))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -331,29 +341,71 @@ def dual_instances(draw):
     pts -= pts.mean(axis=1, keepdims=True)
     c = draw(st.one_of(st.just(1.0 / n), st.just((1.0 - 5e-10) / n),
                        st.floats(1.0 / n, 1.5)))
-    return pts, pts.T @ pts, c
+    return pts.T, c
+
+
+@st.composite
+def shifted_instances(draw):
+    """Rows with unequal spreads, the same rows shifted by up to 1e7 times
+    their spread, and a box bound C in [1/N, 1]."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = gen.standard_normal((n, k)) * gen.uniform(0.1, 10.0, k)
+    shift = gen.choice([-1.0, 1.0], k) * 10.0 ** draw(st.floats(0.0, 7.0)) * pts.std(axis=0)
+    return pts, pts + shift, draw(st.floats(1.0 / n, 1.0))
+
+
+class TestLowRankSolve:
+    @pytest.mark.parametrize("c", [0.5, 0.05, 0.005])
+    def test_no_n_by_n_array(self, c):
+        # an N x N float64 array at N = 2000 is 30.5 MB
+        gen = np.random.default_rng(0)
+        pts = gen.standard_normal((2000, 5)) * gen.uniform(0.5, 2.0, 5)
+        tracemalloc.start()
+        try:
+            solve_dual(pts, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(shifted_instances())
+    def test_shift_keeps_alpha_and_dual_value(self, instance):
+        pts, moved, c = instance
+        alpha = solve_dual(pts, c).alpha
+        moved_alpha = solve_dual(moved, c).alpha
+        np.testing.assert_allclose(moved_alpha, alpha, rtol=0, atol=1e-4 * c)
+        # both solutions are scored on the unshifted points
+        centered = pts - pts.mean(axis=0)
+        gram = centered @ centered.T
+        tol = 1e-12 * max(1.0, float(np.diag(gram).max()))
+        gap = dual_objective(gram, alpha) - dual_objective(gram, moved_alpha)
+        assert abs(gap) <= pts.shape[0] * tol
 
 
 class TestColdStart:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(dual_instances())
     def test_start_is_feasible_and_reaches_the_uniform_starts_optimum(self, instance):
-        pts, gram, c = instance
-        n = gram.shape[0]
+        points, c = instance
+        n = points.shape[0]
+        gram = _gram_block(points, points)
         diag = np.diag(gram).copy()
         start = svdd._cold_start(diag, c)
         AlphaVector(alpha=start, C=c).validate(tol=1e-9)
         tol = 1e-12 * max(1.0, float(diag.max()))
-        alpha = solve_dual(gram, c).alpha
+        alpha = solve_dual(points, c).alpha
         grad = diag - 2.0 * gram @ alpha
-        assert pair_sweep_full(diag, gram, alpha, grad, c)[3] <= tol
-        uniform = solve_dual(gram, c, alpha0=np.full(n, 1.0 / n)).alpha
+        assert pair_sweep_full(diag, points, alpha, grad, c)[3] <= tol
+        uniform = solve_dual(points, c, alpha0=np.full(n, 1.0 / n)).alpha
         gap = n * tol
         assert abs(dual_objective(gram, alpha) - dual_objective(gram, uniform)) <= gap
         # the dual falls by at least ||Y alpha - Y alpha*||^2 away from its
         # optimum alpha*, so an objective within gap of the optimum places the
         # center within sqrt(gap) of the optimal one
-        dist = np.linalg.norm(pts @ alpha - pts @ uniform)
+        dist = np.linalg.norm(points.T @ alpha - points.T @ uniform)
         assert dist <= 2.0 * np.sqrt(gap)
 
     def test_mass_on_the_farthest_points(self):
@@ -370,9 +422,7 @@ class TestColdStart:
         mean = np.array([14.85, 14.56, 0.871, 5.63, 3.26, 3.70, 5.41])
         std = np.array([2.91, 1.31, 0.024, 0.44, 0.38, 1.50, 0.49])
         y = mean[:, None] + std[:, None] * gen.standard_normal((7, 40))
-        y -= y.mean(axis=1, keepdims=True)
-        gram = y.T @ y
-        alpha = solve_dual(gram, 0.1, max_passes=20).alpha
+        alpha = solve_dual(y.T, 0.1, max_passes=20).alpha
         assert np.count_nonzero(alpha) <= 20
         with pytest.raises(NotConverged):
-            solve_dual(gram, 0.1, max_passes=20, alpha0=np.full(40, 1.0 / 40))
+            solve_dual(y.T, 0.1, max_passes=20, alpha0=np.full(40, 1.0 / 40))
