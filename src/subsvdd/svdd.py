@@ -29,6 +29,21 @@ alpha = C on the floor(1/C) points of largest G_ii, the points farthest from
 the mean, where the support vectors lie; an exchange zeroes at most one
 alpha, so a start spread over all N points would need at least N - #SV
 updates.
+
+Pair exchange converges only linearly once the free set F = {0 < a < C} and
+the set at C have settled (Keerthi et al. 2001), and on a flat dual it can
+creep across F for thousands of updates. So after two pair updates in a row
+that keep F (both moved a_i stay strictly inside (0, C)), and when |F| >= 3,
+the solver takes one face step (``_face_step``): an exact ascent on the face
+where every a at 0 or C stays fixed and sum(a_F) is constant. Where the dual
+is linear along a move on that face (always once |F| exceeds k + 1: the face
+has |F| - 1 dimensions, the points k), the step follows that move until an
+a_F reaches 0 or C; otherwise it is the min-norm Newton step to the face's
+optimum, clipped by the ratio test. A step is taken only when a stays in the
+box with sum(a) = 1 and the dual does not fall; the gradient is then
+recomputed from scratch. The face step only moves a between pair updates:
+the loop, its stopping test and ``tol`` are unchanged, so every returned a
+carries the same certificate, and ``max_passes`` still counts pair updates.
 """
 from __future__ import annotations
 
@@ -46,6 +61,10 @@ from .errors import (
 # alpha_i counts as a support vector when alpha_i > SV_EPS_FACTOR * C, and as
 # a boundary support vector when additionally alpha_i < C - SV_EPS_FACTOR * C.
 SV_EPS_FACTOR = 1e-6
+
+# in the face step, singular values of the free points (less their mean) at
+# most this fraction of the largest count as zero
+FACE_RANK_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,6 +153,91 @@ def _pair_sweep(diag, points, alpha, grad, C):
     return 0, 0, 0.0, 0.0
 
 
+def _line_search(step, pf, a_f, g_f, C):
+    """Best length along a face move: returns (t, stop, gain), or None.
+
+    The dual changes by t s - t^2 q along ``step`` with slope s = g_F'step
+    and curvature q = ||P_F'step||^2. t is the maximizer s / (2q), clipped by
+    the ratio test at the first alpha_F to reach 0 or C; ``stop`` is that
+    alpha's position in F, or -1 when the maximizer lies inside the box.
+    None when the move does not ascend.
+    """
+    slope = float(g_f @ step)
+    if not slope > 0.0:
+        return None
+    rate = np.abs(step)
+    room = np.where(step > 0.0, C - a_f, a_f)
+    reach = np.divide(room, rate, out=np.full(rate.size, np.inf), where=rate > 0.0)
+    stop = int(np.argmin(reach))
+    t = float(reach[stop])
+    proj = pf.T @ step
+    curv = float(proj @ proj)
+    if 2.0 * curv * t > slope:
+        t, stop = slope / (2.0 * curv), -1
+    return t, stop, t * slope - t * t * curv
+
+
+def _face_step(diag, points, alpha, grad, C, tol):
+    """Exact ascent on the face of the free set: returns the new alpha, or None.
+
+    F = {i : 0 < alpha_i < C}. The face keeps every alpha at 0 or C fixed and
+    sum(alpha_F) constant, so a move d on it has 1'd = 0. For such d,
+    P_F'd = Q'd with Q = P_F less its mean over F, and the dual changes by
+    t g~'d - t^2 ||Q'd||^2 along t d, where g~ is g_F less its mean. Every
+    vector below is orthogonal to 1, so it is a move on the face. With
+    Q = U S V', from the thin SVD of the |F| x k Q (singular values of at most
+    FACE_RANK_CUT times the largest dropped):
+
+    - flat face: when rank(Q) < |F| - 1, a move with Q'v = 0 exists, and the
+      dual is linear along it. v = b~ - U U'b~, the part of b~ (G_ii on F
+      less its mean) outside range(Q), has g~'v = ||v||^2 (g_F - b is
+      -2 P_F P'alpha, whose centered part lies in range(Q)), so the dual rises
+      along v until an alpha_F reaches 0 or C. Taken when that gains more
+      than ``tol``;
+    - curved face: otherwise the min-norm Newton step d = U S^-2 U'g~ / 2,
+      which solves 2 Q Q'd = g~ on range(Q) and reaches the face's optimum at
+      length 1. It is the Newton step of the bordered KKT system
+      [[2 P_F P_F', 1], [1', 0]] without forming it.
+
+    Both need O(|F| k) memory, whatever |F| is. The length comes from
+    ``_line_search``, and the alpha that stops the move is set exactly to its
+    bound, so alpha stays in the box. The step is returned only when it
+    raises the dual and keeps sum(alpha_F) to rounding.
+    """
+    free = np.nonzero((alpha > 0.0) & (alpha < C))[0]
+    m = free.size
+    if m < 3:
+        return None
+    pf, a_f, g_f = points[free], alpha[free], grad[free]
+    q = pf - pf.mean(axis=0)
+    u, sv, _ = np.linalg.svd(q, full_matrices=False)
+    keep = sv > FACE_RANK_CUT * sv[0]
+    u, sv = u[:, keep], sv[keep]
+    move = None
+    if sv.size < m - 1:
+        # b~ - U U'b~, projected twice and centered again last, so that
+        # Q'v = 0 and 1'v = 0 hold to rounding relative to v, not to b
+        step = diag[free] - diag[free].mean()
+        step -= u @ (u.T @ step)
+        step -= u @ (u.T @ step)
+        step -= step.mean()
+        move = _line_search(step, pf, a_f, g_f, C)
+    if move is None or move[2] <= tol:
+        step = u @ ((u.T @ (g_f - g_f.mean())) / (2.0 * sv * sv))
+        move = _line_search(step, pf, a_f, g_f, C)
+    if move is None or not move[2] > 0.0:
+        return None
+    t, stop, _ = move
+    new = np.clip(a_f + t * step, 0.0, C)
+    if stop >= 0:
+        new[stop] = C if step[stop] > 0.0 else 0.0
+    if abs(float(new.sum()) - float(a_f.sum())) > 4.0 * m * np.finfo(float).eps:
+        return None
+    out = alpha.copy()
+    out[free] = new
+    return out
+
+
 def _cold_start(diag, C):
     """Feasible start with the mass on the points of largest G_ii.
 
@@ -172,9 +276,15 @@ def solve_dual(points, C, tol=None, max_passes=None, alpha0=None):
     iteration when it is already feasible (the iterative trainer passes the
     previous alpha); otherwise alpha starts at C on the floor(1/C) points of
     largest G_ii (ties in index order), with the remainder on the next point
-    (``_cold_start``). Raises InfeasibleC when C < 1/N and NotConverged when
-    the criterion is not met within ``max_passes`` pair updates (default
-    10*N^2).
+    (``_cold_start``). After two pair updates in a row that keep the free
+    set F = {0 < alpha < C}, with |F| >= 3, one face step (``_face_step``)
+    solves the dual on the face of F exactly, or follows a direction along
+    which the dual is linear to the next bound; it is kept only when alpha
+    stays feasible and the dual does not fall, and the gradient is then
+    recomputed from scratch. It does not count as a pair update, and the
+    solve still ends only on the certificate above. Raises InfeasibleC when
+    C < 1/N and NotConverged when the criterion is not met within
+    ``max_passes`` pair updates (default 10*N^2).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -208,8 +318,18 @@ def solve_dual(points, C, tol=None, max_passes=None, alpha0=None):
     h = pc @ (pc.T @ alpha)  # cached G @ alpha
     fresh = True  # h formed from scratch, no update since
     updates = 0
+    inside = 0  # pair updates in a row that kept the free set
     while True:
-        i, j, t, gain = _pair_sweep(diag, pc, alpha, diag - 2.0 * h, c_bound)
+        grad = diag - 2.0 * h
+        if inside == 2:
+            inside = 0
+            face = _face_step(diag, pc, alpha, grad, c_bound, tol)
+            if face is not None:
+                alpha = face
+                h = pc @ (pc.T @ alpha)
+                fresh = True
+                continue
+        i, j, t, gain = _pair_sweep(diag, pc, alpha, grad, c_bound)
         if gain <= tol:
             if fresh:
                 break
@@ -232,6 +352,11 @@ def solve_dual(points, C, tol=None, max_passes=None, alpha0=None):
         h += pc @ (pc[i] * (alpha[i] - old_i) + pc[j] * (alpha[j] - old_j))
         fresh = False
         updates += 1
+        # i grew and j shrank: the free set is unchanged iff both stay inside
+        if old_i > 0.0 and old_j < c_bound and alpha[i] < c_bound and alpha[j] > 0.0:
+            inside += 1
+        else:
+            inside = 0
         if updates > max_passes:
             raise NotConverged(
                 f"KKT residual above {tol} after {max_passes} pair updates"

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import dual_objective, pair_sweep_full
 from subsvdd.pipeline import fit_occ_model, parse_method
 from subsvdd.svdd import (
     AlphaVector,
+    _face_step,
     _gram_block,
     _pair_sweep,
     decide_batch,
@@ -399,7 +402,12 @@ class TestColdStart:
         alpha = solve_dual(points, c).alpha
         grad = diag - 2.0 * gram @ alpha
         assert pair_sweep_full(diag, points, alpha, grad, c)[3] <= tol
+        # from the uniform start every alpha can be free, so the solve can
+        # take face steps; its result carries the same certificate
         uniform = solve_dual(points, c, alpha0=np.full(n, 1.0 / n)).alpha
+        AlphaVector(alpha=uniform, C=c).validate(tol=1e-9)
+        grad = diag - 2.0 * gram @ uniform
+        assert pair_sweep_full(diag, points, uniform, grad, c)[3] <= tol
         gap = n * tol
         assert abs(dual_objective(gram, alpha) - dual_objective(gram, uniform)) <= gap
         # the dual falls by at least ||Y alpha - Y alpha*||^2 away from its
@@ -426,3 +434,109 @@ class TestColdStart:
         assert np.count_nonzero(alpha) <= 20
         with pytest.raises(NotConverged):
             solve_dual(y.T, 0.1, max_passes=20, alpha0=np.full(40, 1.0 / 40))
+
+
+FLAT_DUAL = Path(__file__).parent / "fixtures" / "flat_dual" / "seeds_rosa37.json"
+
+
+def face_instance(points, alpha):
+    """What ``solve_dual`` hands ``_face_step``: centered points, G_ii, the
+    gradient at alpha, and the Gram matrix for the checks."""
+    pc = points - points.mean(axis=0)
+    gram = _gram_block(pc, pc)
+    diag = np.diag(gram).copy()
+    return pc, diag, diag - 2.0 * gram @ alpha, gram
+
+
+def certificate_gain(points, alpha, c):
+    """Best pair gain at alpha on the centered points, and the solver's tol."""
+    pc, diag, grad, _ = face_instance(points, alpha)
+    return pair_sweep_full(diag, pc, alpha, grad, c)[3], 1e-12 * max(1.0, float(diag.max()))
+
+
+class TestFaceStep:
+    def test_flat_face_puts_one_alpha_on_a_bound(self):
+        # k = 1 and |F| = 5 > k + 1: the dual is linear along a move on F
+        pts = np.random.default_rng(3).standard_normal((7, 1))
+        c = 0.3
+        alpha = np.array([0.1, 0.15, 0.2, 0.1, 0.15, 0.3, 0.0])
+        pc, diag, grad, gram = face_instance(pts, alpha)
+        tol = 1e-12 * max(1.0, float(diag.max()))
+        new = _face_step(diag, pc, alpha, grad, c, tol)
+        assert new is not None
+        assert new.min() >= 0.0 and new.max() <= c
+        assert abs(new.sum() - alpha.sum()) <= 1e-14
+        np.testing.assert_array_equal(new[5:], alpha[5:])
+        assert np.count_nonzero((new[:5] == 0.0) | (new[:5] == c)) == 1
+        # the move kept the center: P_F'v = 0
+        np.testing.assert_allclose(pc.T @ new, pc.T @ alpha, rtol=0, atol=1e-15)
+        assert dual_objective(gram, new) > dual_objective(gram, alpha)
+
+    def test_curved_face_step_reaches_the_face_optimum(self):
+        # k = 3 and |F| = 4 <= k + 1. F is a perturbed regular tetrahedron,
+        # whose circumcenter the free alphas can reach inside the box, so the
+        # Newton step is not clipped
+        tet = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        gen = np.random.default_rng(0)
+        pts = np.vstack([tet + 0.05 * gen.standard_normal((4, 3)),
+                         [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], 0.2 * gen.standard_normal((2, 3))])
+        c = 0.3
+        alpha = np.array([0.1, 0.25, 0.2, 0.15, 0.0, 0.3, 0.0, 0.0])
+        pc, diag, grad, gram = face_instance(pts, alpha)
+        tol = 1e-12 * max(1.0, float(diag.max()))
+        new = _face_step(diag, pc, alpha, grad, c, tol)
+        assert new is not None
+        np.testing.assert_array_equal(new[4:], alpha[4:])
+        assert new[:4].min() > 0.0 and new[:4].max() < c
+        assert abs(new.sum() - alpha.sum()) <= 1e-14
+        assert np.ptp(grad[:4]) > 1.0
+        assert np.ptp((diag - 2.0 * gram @ new)[:4]) <= tol
+        assert dual_objective(gram, new) > dual_objective(gram, alpha)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_instances())
+    def test_step_stays_feasible_and_does_not_lower_the_dual(self, instance):
+        diag, points, alpha, grad, c = instance
+        tol = 1e-12 * max(1.0, float(diag.max()))
+        new = _face_step(diag, points, alpha, grad, c, tol)
+        if new is None:
+            return
+        free = (alpha > 0.0) & (alpha < c)
+        np.testing.assert_array_equal(new[~free], alpha[~free])
+        assert new.min() >= 0.0 and new.max() <= c
+        assert abs(new.sum() - 1.0) <= 1e-14
+        gram = _gram_block(points, points)
+        assert dual_objective(gram, new) >= dual_objective(gram, alpha) - tol
+
+    def test_flat_dual_converges(self):
+        # pair updates alone needed more than the 10 N^2 = 12,250 cap here,
+        # warm-started or not (see fixtures/flat_dual/README.md)
+        case = json.loads(FLAT_DUAL.read_text())
+        pts, c = np.array(case["points"]), case["C"]
+        for start in (np.array(case["alpha0"]), None):
+            alpha = solve_dual(pts, c, max_passes=100, alpha0=start).alpha
+            AlphaVector(alpha=alpha, C=c).validate(tol=1e-12)
+            gain, tol = certificate_gain(pts, alpha, c)
+            assert gain <= tol
+
+    def test_flat_dual_fit_converges(self):
+        x = np.array(json.loads(FLAT_DUAL.read_text())["x"])
+        model, trace = fit_occ_model(
+            x, parse_method("nssvdd-rbf-psi2-min"), C=0.4, d=5, sigma=0.1, beta=100.0,
+            eta=0.01, k_max=10, seed=37,
+        )
+        assert len(trace) == 10
+        assert model.description.sv_indices.size >= 3
+
+    def test_cell_solve_fits_a_budget_the_pair_updates_exceed(self):
+        # shaped like a fit-store grid cell's solve: N = 110, k = 10, points
+        # of near-constant norm as in an rbf feature space, C = 0.06; pair
+        # updates alone take 906 here
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((110, 40)) * 0.9 ** np.arange(40)
+        pts = (x / np.linalg.norm(x, axis=1, keepdims=True))[:, :10]
+        c = 0.06
+        alpha = solve_dual(pts, c, max_passes=200).alpha
+        assert 3 <= np.count_nonzero((alpha > 0.0) & (alpha < c)) <= 11
+        gain, tol = certificate_gain(pts, alpha, c)
+        assert gain <= tol
