@@ -91,7 +91,6 @@ def fit_occ_model(
     hessian_beta_mode="as_written",
     damping=0.0,
     zscore=False,
-    rank_tol=1e-10,
     eval_data=None,
 ):
     """Fit one model on a D x Nt block of target-class training columns.
@@ -116,7 +115,7 @@ def fit_occ_model(
     if method.kernel == "rbf":
         if sigma is None:
             raise ValueError("rbf methods need sigma")
-        npt = build_npt(work, sigma, rank_tol=rank_tol)
+        npt = build_npt(work, sigma)
         work = npt.phi
 
     eval_fn = None

@@ -7,25 +7,44 @@ augmented objective
     L(Q) = sum_i a_i x_i'Q'Qx_i - sum_ij a_i a_j x_i'Q'Qx_j + beta * Psi(Q)
 
 with Psi = Tr(Q X lam lam' X' Q'), either directly (gradient optimizer) or
-preconditioned by the Hessian (newton optimizer). Under row-major
-vectorization the Hessian is block diagonal, H = I_d kron B with
-B = 2 X (diag(a) - aa' + w * lam lam') X', so the Newton solve reduces to d
-systems with one matrix B. ``update_step`` is the one step both optimizers
-take; after it the rows of Q are re-orthonormalized (QR).
+by the Newton step (newton optimizer). ``update_step`` is the one step both
+optimizers take; after it the rows of Q are re-orthonormalized (QR).
 
-B and the gradient are formed at the a-weighted mean X a: because
+The gradient and the Hessian are formed at the a-weighted mean X a: because
 sum(a) = 1, X (diag(a) - aa') X' = M_s M_s' with M_s = X_c diag(sqrt(a_s)),
 the support columns (a_i > 0) of X_c = X - (X a) 1' scaled by sqrt(a_i).
-``support_block`` builds M_s once per iteration for both. This needs no
+``support_block`` builds (M_s, X lam) once per iteration. This needs no
 N x N matrix, and it does not subtract two large terms when the data lie far
 from the origin. The lam lam' part uses X as it is.
 
-B is never formed: ``hessian_core`` returns its factor M = [M_s, sqrt(w) X lam],
-B = 2 M M', of rank at most s + 1 for s support vectors. ``newton_step``
-eigendecomposes the smaller of the two Grams of M, the (s+1) x (s+1) M'M
-when s + 1 < D (B's eigenvectors are then M V Lambda^{-1/2}) and MM'
+Under row-major vectorization the Hessian is block diagonal, H = I_d kron B,
+with B = 2 M M' and M = [M_s, sqrt(w) X lam] (``hessian_core``), of rank at
+most s + 1 for s support vectors. The weight w on lam lam' is configurable:
+``as_written`` uses w = 1 and ``consistent`` uses w = beta, which makes B the
+true second derivative. The gradient is Q B + 2 (beta - w)(Q X lam)(X lam)',
+so the damped Newton step, the gradient times (B + mu I)^+, needs no
+gradient. With B = U diag(b) U' over its kept eigenpairs it is
+
+    Q U diag(b / (b + mu)) U'
+        + 2 (beta - w) (Q X lam)(U diag(1 / (b + mu)) U' X lam)'.
+
+Nothing lies outside range(B) = range(M) for mu to divide: the rows of Q B
+lie in it, and so does X lam whenever w > 0 (when w = 0, beta - w = 0).
+``newton_step`` eigendecomposes the smaller Gram of M, the (s+1) x (s+1) M'M
+when s + 1 < D (U is then M V Lambda^{-1/2} and b = 2 Lambda) and MM'
 otherwise, so a fit with few support vectors in a large feature space (the
 rbf eigenmap) pays for its support, not for D.
+
+Without damping the first term is Q projected onto range(B). A step
+proportional to Q does not move the subspace, so the Newton step moves it
+only when B is singular or the rank-one term is there (beta != w and
+lam != 0). With a full-rank core and mu = 0 the step is exactly Q for psi0,
+for beta = 1 in ``as_written`` mode and always in ``consistent`` mode: the
+update is (1 -+ eta) Q, which re-orthonormalization undoes. With a singular
+core and no rank-one term, ``min`` multiplies the part of each row of Q
+inside range(B), the span of the centered support vectors and X lam, by
+(1 - eta), so after the QR Q tilts toward null(B); ``max`` tilts it toward
+range(B).
 
 The dual in each subspace receives the projections themselves, Y' (N x d),
 and ``solve_dual`` centers them, which is exact because sum(a) = 1 and keeps
@@ -35,16 +54,6 @@ The objective's SVDD part is likewise formed on projections centered at Y a.
 The center (Y a) and the regularizers use the projections as they are: Psi
 depends on the origin by definition. Plain SVDD is this fit with Q = I held
 fixed (k_max = 1), so its dual receives the D x N features' transpose.
-
-The Hessian weight w on lam lam' is configurable: ``as_written`` uses w = 1
-and ``consistent`` uses w = beta (matching the gradient). The gradient is
-Q B + 2 (beta - w)(Q X lam)(X lam)', so without damping the Newton step is
-
-    Q B B^+ + 2 (beta - w) (Q X lam)(B^+ X lam)'.
-
-With a full-rank core (B B^+ = I) the step is therefore exactly Q for psi0
-(lam = 0), for beta = 1 in ``as_written`` mode, and always in ``consistent``
-mode: the update is then (1 -+ eta) Q, which re-orthonormalization undoes.
 """
 from __future__ import annotations
 
@@ -67,21 +76,8 @@ REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
 DIRECTIONS = ("min", "max")
 OPTIMIZERS = ("gradient", "newton")
 HESSIAN_BETA_MODES = ("as_written", "consistent")
-
-
-@dataclass(frozen=True)
-class RegularizationSpec:
-    """Which weight vector lam the regularizer uses, and its strength."""
-
-    kind: str
-    beta: float
-    boundary_eps: float
-
-    def __post_init__(self):
-        if self.kind not in REG_KINDS:
-            raise ValueError(f"unknown regularization kind {self.kind!r}")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+# eigenvalues of B + mu I at or below this fraction of the largest are dropped
+EIG_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if self.beta < 0.0:
+            raise ValueError("beta must be >= 0")
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")
         if self.k_max < 1:
@@ -148,19 +146,22 @@ def project(q, x):
     return q_mat @ x_mat
 
 
-def build_lambda(spec: RegularizationSpec, alpha: AlphaVector):
-    """Per-sample weights of the regularization term for the given alpha."""
+def build_lambda(kind, alpha: AlphaVector):
+    """Per-sample weights of the regularizer ``kind`` for the given alpha.
+
+    psi0 weighs nothing, psi1 every sample, psi2 each sample by a_i and psi3
+    only the boundary support vectors (SV_EPS_FACTOR * C < a_i < C minus
+    that), by a_i.
+    """
     a = alpha.alpha
-    if spec.kind == "psi0":
+    if kind == "psi0":
         return np.zeros_like(a)
-    if spec.kind == "psi1":
+    if kind == "psi1":
         return np.ones_like(a)
-    if spec.kind == "psi2":
+    if kind == "psi2":
         return a.copy()
-    lam = np.where(
-        (a > spec.boundary_eps) & (a < alpha.C - spec.boundary_eps), a, 0.0
-    )
-    return lam
+    eps = SV_EPS_FACTOR * alpha.C
+    return np.where((a > eps) & (a < alpha.C - eps), a, 0.0)
 
 
 def objective(y, alpha_values, lam, beta):
@@ -230,62 +231,59 @@ def hessian_core(block, beta, mode="as_written"):
     return np.column_stack([m_s, np.sqrt(weight) * xl])
 
 
-def newton_step(grad, m, mu=0.0, rel_tol=1e-10):
-    """Apply (B + mu I)^+ to every row of the gradient, B = 2 M M' (H = I_d kron B).
+def newton_step(q, block, beta, mode="as_written", mu=0.0):
+    """Newton step of Q: the gradient times (B + mu I)^+, in closed form.
 
-    One eigendecomposition serves all rows. When M has fewer columns than
-    rows it is of the Gram M'M = V Lambda V', and B's eigenvectors on the
-    range of M are U = M V Lambda^{-1/2} with eigenvalues 2 Lambda; the other
-    D - rank eigenvalues of B + mu I are mu, and the rows' parts outside U
-    are divided by mu. Otherwise it is of the D x D matrix MM' itself.
-    Eigenvalues of B + mu I below rel_tol times the largest are inverted to
-    zero. The result equals the minimum-norm solve of the full system
-    (H + mu I) s = g.
+    B = 2 M M' with M from ``hessian_core(block, beta, mode)``, and the
+    gradient is Q B + 2 (beta - w)(Q X lam)(X lam)' (w = 1 ``as_written``,
+    beta ``consistent``). Over the kept eigenpairs B = U diag(b) U' the step
+    is
+
+        Q U diag(b / (b + mu)) U'
+            + 2 (beta - w) (Q X lam)(U diag(1 / (b + mu)) U' X lam)',
+
+    Q taken into range(B) (projected onto it when mu = 0) plus one rank-one
+    term, which is there only when beta != w. One eigendecomposition serves both: of the Gram M'M =
+    V Lambda V' when M has fewer columns than rows (U = M V Lambda^{-1/2},
+    b = 2 Lambda), otherwise of MM' itself. Eigenpairs with b + mu at or
+    below EIG_REL_TOL times the largest are dropped, so a zero core gives a
+    zero step. The result equals the minimum-norm solve of the full system
+    (H + mu I) vec(S) = vec(gradient), H = I_d kron B.
     """
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    g_mat = np.asarray(grad, dtype=np.float64)
-    m_mat = np.asarray(m, dtype=np.float64)
-    thin = m_mat.shape[1] < m_mat.shape[0]
-    eig = sym_eig(m_mat.T @ m_mat if thin else m_mat @ m_mat.T)
-    lam = 2.0 * eig.eigenvalues + mu
-    scale = max(float(np.abs(lam).max()), mu)
-    keep = np.abs(lam) >= rel_tol * scale
+    m = hessian_core(block, beta, mode)
+    thin = m.shape[1] < m.shape[0]
+    eig = sym_eig(m.T @ m if thin else m @ m.T)
+    b = 2.0 * eig.eigenvalues
+    keep = b + mu > EIG_REL_TOL * (b.max() + mu)
     if thin:
         keep &= eig.eigenvalues > 0.0
-        u = m_mat @ (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep]))
+        u = m @ (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep]))
     else:
         u = eig.eigenvectors[:, keep]
-    gu = g_mat @ u
-    step = (gu / lam[keep]) @ u.T
-    if thin and 0.0 < mu and mu >= rel_tol * scale:
-        rest = g_mat - gu @ u.T
-        # U is orthonormal only to the accuracy of the Gram's eigenvectors;
-        # a second projection removes what the first left inside range(U)
-        rest -= (rest @ u) @ u.T
-        step += rest / mu
+    b = b[keep]
+    q_mat = np.asarray(q, dtype=np.float64)
+    step = ((q_mat @ u) * (b / (b + mu))) @ u.T
+    w = 1.0 if mode == "as_written" else beta
+    if beta != w:
+        xl = block[1]
+        step += 2.0 * (beta - w) * np.outer(q_mat @ xl, u @ ((xl @ u) / (b + mu)))
     return step
 
 
-def apply_update(q, step, eta, direction):
-    """Raw (pre-orthonormalization) update: Q - eta*step (min) or + (max)."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    sign = -1.0 if direction == "min" else 1.0
-    return q + sign * eta * step
+def update_step(q, block, cfg: TrainConfig):
+    """One optimizer step from ``support_block``'s block, before re-orthonormalization.
 
-
-def update_step(q, grad, m, cfg: TrainConfig):
-    """One optimizer step, before re-orthonormalization.
-
-    The newton optimizer moves Q along (B + mu I)^+ applied to each gradient
-    row (B = 2 M M' is the Hessian core, M its factor from ``hessian_core``);
-    the gradient optimizer along the gradient itself.
+    The newton optimizer moves Q along ``newton_step``, the gradient
+    optimizer along ``gradient``: Q - eta * step for ``min``, + for ``max``.
     """
-    step = newton_step(grad, m, mu=cfg.damping) if cfg.optimizer == "newton" else grad
-    return apply_update(q, step, cfg.eta, cfg.direction)
+    if cfg.optimizer == "newton":
+        step = newton_step(q, block, cfg.beta, cfg.hessian_beta_mode, mu=cfg.damping)
+    else:
+        step = gradient(q, block, cfg.beta)
+    sign = -1.0 if cfg.direction == "min" else 1.0
+    return q + sign * cfg.eta * step
 
 
 def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
@@ -344,9 +342,6 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     else:
         q = _orthonormalize_with_recovery(np.asarray(q0, dtype=np.float64), rng)
 
-    reg = RegularizationSpec(
-        kind=cfg.reg_kind, beta=cfg.beta, boundary_eps=SV_EPS_FACTOR * cfg.C
-    )
     trace: list[TraceRow] = []
 
     def fit_dual(q_now, warm):
@@ -366,17 +361,13 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     while k < cfg.k_max:
         y, alpha = fit_dual(q, warm)
         warm = alpha.alpha
-        lam = build_lambda(reg, alpha)
+        lam = build_lambda(cfg.reg_kind, alpha)
         record(k, q, alpha, y, lam)
         block = support_block(x_mat, alpha.alpha, lam)
-        grad = gradient(q, block, cfg.beta)
-        m = None
-        if cfg.optimizer == "newton":
-            m = hessian_core(block, cfg.beta, cfg.hessian_beta_mode)
-        q = _orthonormalize_with_recovery(update_step(q, grad, m, cfg), rng)
+        q = _orthonormalize_with_recovery(update_step(q, block, cfg), rng)
         k += 1
 
     y, alpha = fit_dual(q, warm)
-    record(cfg.k_max, q, alpha, y, build_lambda(reg, alpha))
+    record(cfg.k_max, q, alpha, y, build_lambda(cfg.reg_kind, alpha))
     desc = describe(alpha, y)
     return SubspaceFit(q=q, description=desc, y_train=y, trace=trace)

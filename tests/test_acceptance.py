@@ -24,13 +24,11 @@ from subsvdd.model_store import predict
 from subsvdd.pipeline import MethodSpec, fit_occ_model
 from subsvdd.subspace import (
     TrainConfig,
-    apply_update,
-    build_lambda,
     gradient,
     hessian_core,
-    newton_step,
     support_block,
     train,
+    update_step,
 )
 from subsvdd.svdd import describe, solve_dual
 
@@ -112,11 +110,11 @@ def test_criterion_3_newton_degeneracy_identity():
         block = support_block(x, alpha.alpha, lam)
         m = hessian_core(block, 5.0, "consistent")
         assert np.linalg.matrix_rank(m) == m.shape[0]
-        g = gradient(q, block, 5.0)
-        step = newton_step(g, m, mu=0.0)
         eta = 0.07
         for direction, scale in (("min", 1 - eta), ("max", 1 + eta)):
-            raw = apply_update(q, step, eta, direction)
+            cfg = TrainConfig(d=2, C=0.15, beta=5.0, eta=eta, direction=direction,
+                              hessian_beta_mode="consistent")
+            raw = update_step(q, block, cfg)
             dev = np.abs(raw - scale * q).max()
             worst = max(worst, dev)
             assert dev <= 1e-8

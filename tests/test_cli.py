@@ -6,6 +6,7 @@ import pytest
 from subsvdd import model_store
 from subsvdd.cli import main
 from subsvdd.data import load_csv
+from subsvdd.subspace import init_projection
 
 
 def write_blob_csv(path, seed=0, n_target=40, n_out=30, dim=4, shift=7.0):
@@ -48,6 +49,21 @@ class TestTrainCommand:
         q = np.asarray(payload["Q"])
         assert q.shape == (4, 4)
         np.testing.assert_allclose(q, np.eye(4))
+
+    def test_identical_samples_keep_the_seeded_projection(self, tmp_path):
+        # a zero Hessian core gives a zero Newton step, not 0/0
+        data = tmp_path / "same.csv"
+        data.write_text("1,2,a\n" * 4, encoding="utf-8")
+        out = tmp_path / "m.json"
+        code = main(
+            ["train", "--data", str(data), "--target-class", "a", "--out", str(out),
+             "--method", "nssvdd", "--psi", "0", "--dim", "1", "--C", "0.5",
+             "--iters", "3"]
+        )
+        assert code == 0
+        q = np.asarray(json.loads(out.read_text())["Q"])
+        expected = init_projection(1, 2, np.random.default_rng(42))
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         data = write_blob_csv(tmp_path / "d.csv")

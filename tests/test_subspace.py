@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,9 +8,7 @@ from conftest import make_blobs
 from oracles import TooLarge, damped_pinv_factor, hessian_full, solve_damped
 from subsvdd.errors import DimensionMismatch, InfeasibleC
 from subsvdd.subspace import (
-    RegularizationSpec,
     TrainConfig,
-    apply_update,
     build_lambda,
     gradient,
     hessian_core,
@@ -32,8 +31,7 @@ def random_instance(seed, d=2, big_d=4, n=6, reg="psi2", beta=1.0, c=None):
     if c is None:
         c = max(0.4, 1.0 / n)
     alpha = solve_dual((q @ x).T, c)
-    spec = RegularizationSpec(kind=reg, beta=beta, boundary_eps=1e-6 * c)
-    lam = build_lambda(spec, alpha)
+    lam = build_lambda(reg, alpha)
     return q, x, alpha, lam
 
 
@@ -110,29 +108,24 @@ class TestProject:
 class TestBuildLambda:
     def test_psi1_all_ones(self):
         av = AlphaVector(alpha=np.array([0.2, 0.3, 0.5]), C=1.0)
-        spec = RegularizationSpec(kind="psi1", beta=1.0, boundary_eps=1e-6)
-        np.testing.assert_allclose(build_lambda(spec, av), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(build_lambda("psi1", av), [1.0, 1.0, 1.0])
 
     def test_psi0_zeros(self):
         av = AlphaVector(alpha=np.array([0.2, 0.8]), C=1.0)
-        spec = RegularizationSpec(kind="psi0", beta=1.0, boundary_eps=1e-6)
-        np.testing.assert_allclose(build_lambda(spec, av), [0.0, 0.0])
+        np.testing.assert_allclose(build_lambda("psi0", av), [0.0, 0.0])
 
     def test_psi2_copies_alpha(self):
         av = AlphaVector(alpha=np.array([0.25, 0.75]), C=1.0)
-        spec = RegularizationSpec(kind="psi2", beta=1.0, boundary_eps=1e-6)
-        np.testing.assert_allclose(build_lambda(spec, av), av.alpha)
+        np.testing.assert_allclose(build_lambda("psi2", av), av.alpha)
 
     def test_psi3_bound_alphas_are_dropped(self):
         # both nonzero alphas sit exactly at the bound C, so lambda vanishes
         av = AlphaVector(alpha=np.array([0.0, 0.5, 0.5]), C=0.5)
-        spec = RegularizationSpec(kind="psi3", beta=1.0, boundary_eps=1e-6 * 0.5)
-        np.testing.assert_allclose(build_lambda(spec, av), [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(build_lambda("psi3", av), [0.0, 0.0, 0.0])
 
     def test_psi3_keeps_interior_alphas(self):
         av = AlphaVector(alpha=np.array([0.0, 0.3, 0.7]), C=0.8)
-        spec = RegularizationSpec(kind="psi3", beta=1.0, boundary_eps=1e-6 * 0.8)
-        np.testing.assert_allclose(build_lambda(spec, av), [0.0, 0.3, 0.7])
+        np.testing.assert_allclose(build_lambda("psi3", av), [0.0, 0.3, 0.7])
 
 
 class TestObjective:
@@ -227,8 +220,7 @@ class TestUpdateStep:
     def test_eta_tiny_keeps_q_up_to_sign(self):
         q, x, alpha, lam = random_instance(5)
         cfg = TrainConfig(d=2, C=0.4, eta=1e-300, optimizer="gradient", k_max=2)
-        g = gradient(q, support_block(x, alpha.alpha, lam), 1.0)
-        new = update_step(q, g, None, cfg)
+        new = update_step(q, support_block(x, alpha.alpha, lam), cfg)
         np.testing.assert_allclose(np.abs(new), np.abs(q), atol=1e-10)
 
     def test_newton_consistent_collapses_to_scaled_q(self):
@@ -238,24 +230,26 @@ class TestUpdateStep:
         for seed in range(10):
             q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=12, beta=7.0, c=0.15)
             block = support_block(x, alpha.alpha, lam)
-            g = gradient(q, block, 7.0)
             m = hessian_core(block, 7.0, "consistent")
             assert np.linalg.matrix_rank(m) == 4
-            step = newton_step(g, m, mu=0.0)
             eta = 0.05
-            raw_min = apply_update(q, step, eta, "min")
-            raw_max = apply_update(q, step, eta, "max")
+            cfg = TrainConfig(d=2, C=0.15, beta=7.0, eta=eta, hessian_beta_mode="consistent")
+            raw_min = update_step(q, block, cfg)
+            raw_max = update_step(q, block, dataclasses.replace(cfg, direction="max"))
             assert np.abs(raw_min - (1 - eta) * q).max() <= 1e-8
             assert np.abs(raw_max - (1 + eta) * q).max() <= 1e-8
 
     # (reg, C, D, N, beta): the singular psi0 core and the beta != 1 rank-one
-    # term, each with a thin factor (s + 1 < D) and a square one (s + 1 >= D)
+    # term, each with a thin factor (s + 1 < D) and a square one (s + 1 >= D),
+    # and psi3, whose lam keeps only the boundary support vectors
     STEP_CASES = [
         ("psi2", 0.4, 4, 9, 2.0),
         ("psi0", 0.3, 8, 20, 1.0),
         ("psi2", 0.3, 8, 20, 2.5),
         ("psi0", 0.05, 4, 30, 1.0),
         ("psi1", 0.05, 4, 30, 2.5),
+        ("psi3", 0.1, 6, 25, 3.0),
+        ("psi3", 0.3, 8, 20, 0.5),
     ]
 
     @pytest.mark.parametrize("mode", ["as_written", "consistent"])
@@ -282,25 +276,21 @@ class TestUpdateStep:
             thin.add(s + 1 < big_d)
             if reg == "psi0" and c == 0.3:
                 assert np.linalg.matrix_rank(m) < big_d
-            # the gradient's rows lie in the range of M; a random g also has
-            # parts outside it, which only the damping scales
-            g = gradient(q, block, beta)
-            if seed == 2:
-                g = np.random.default_rng(seed).standard_normal(g.shape)
             orders.clear()
-            rowwise = newton_step(g, m, mu=mu)
+            rowwise = newton_step(q, block, beta, mode, mu=mu)
             # one eigendecomposition, of the smaller Gram of M: M'M when s + 1 < D
             assert orders == [min(s + 1, big_d)]
             h_full = hessian_full(x, alpha.alpha, lam, beta, mode, d=2)
+            g = gradient(q, block, beta)
             vec_step = solve_damped(h_full, g.reshape(-1), mu=mu)
             assert np.abs(rowwise.reshape(-1) - vec_step).max() <= 1e-9 * np.abs(vec_step).max()
         assert thin == {True, False}
 
     @pytest.mark.parametrize("mode, weight", [("as_written", None), ("consistent", "beta")])
     def test_newton_step_closed_form(self, mode, weight):
-        # for the gradient train passes, newton_step (mu = 0) is
-        # Q B B^+ + 2 (beta - w)(Q X lam)(B^+ X lam)'; with a full-rank core
-        # that is exactly Q for psi0, for beta = 1 and in consistent mode
+        # without damping, newton_step is Q B B^+ + 2 (beta - w)(Q X lam)(B^+ X lam)';
+        # with a full-rank core that is exactly Q for psi0, for beta = 1 and
+        # in consistent mode
         for (reg, c, big_d, n, beta), seed in itertools.product(self.STEP_CASES, range(3)):
             q, x, alpha, lam = random_instance(seed, d=2, big_d=big_d, n=n, reg=reg,
                                                beta=beta, c=c)
@@ -311,7 +301,7 @@ class TestUpdateStep:
             b_pinv = (u * inv) @ u.T
             xl = block[1]
             closed = q @ (2.0 * m @ m.T) @ b_pinv + 2.0 * (beta - w) * np.outer(q @ xl, b_pinv @ xl)
-            step = newton_step(gradient(q, block, beta), m)
+            step = newton_step(q, block, beta, mode)
             assert np.abs(step - closed).max() <= 1e-9 * np.abs(closed).max()
             if np.linalg.matrix_rank(m) == big_d and (reg == "psi0" or beta == w):
                 assert np.abs(step - q).max() <= 1e-9
@@ -327,18 +317,23 @@ class TestUpdateStep:
 
     def test_gradient_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
-        g = gradient(q, support_block(x, alpha.alpha, lam), 1.0)
+        block = support_block(x, alpha.alpha, lam)
+        g = gradient(q, block, 1.0)
         cfg = TrainConfig(d=2, C=0.4, eta=0.05, optimizer="gradient", k_max=2)
-        np.testing.assert_allclose(update_step(q, g, None, cfg), q - 0.05 * g, atol=1e-12)
+        np.testing.assert_allclose(update_step(q, block, cfg), q - 0.05 * g, atol=1e-12)
 
     def test_newton_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
         block = support_block(x, alpha.alpha, lam)
-        g = gradient(q, block, 1.0)
-        m = hessian_core(block, 1.0, "as_written")
         cfg = TrainConfig(d=2, C=0.4, eta=0.05, direction="max", damping=0.1, k_max=2)
-        by_hand = q + 0.05 * newton_step(g, m, mu=0.1)
-        np.testing.assert_allclose(update_step(q, g, m, cfg), by_hand, atol=1e-12)
+        by_hand = q + 0.05 * newton_step(q, block, 1.0, "as_written", mu=0.1)
+        np.testing.assert_allclose(update_step(q, block, cfg), by_hand, atol=1e-12)
+
+
+class TestTrainConfig:
+    def test_negative_beta_raises(self):
+        with pytest.raises(ValueError, match="beta"):
+            TrainConfig(d=1, C=0.5, beta=-1.0)
 
 
 class TestTrain:
@@ -366,6 +361,17 @@ class TestTrain:
         assert len(fit.trace) == 1
         expected_q = init_projection(2, 5, np.random.default_rng(77))
         np.testing.assert_allclose(fit.q, expected_q)
+
+    def test_zero_hessian_core_gives_zero_step(self):
+        # identical samples: the centered support columns and X lam (psi0)
+        # are zero, so the core M is zero and so is the Newton step
+        x = np.tile([[1.0], [2.0]], (1, 4))
+        for mu in (0.0, 0.1):
+            cfg = TrainConfig(d=1, C=0.5, reg_kind="psi0", k_max=3, damping=mu)
+            fit = train(x, cfg)
+            expected_q = init_projection(1, 2, np.random.default_rng(cfg.seed))
+            np.testing.assert_allclose(fit.q, expected_q, rtol=0, atol=1e-15)
+            assert fit.description.radius_sq == 0.0
 
     def test_trace_has_k_max_rows(self):
         gen = np.random.default_rng(2)
