@@ -17,6 +17,7 @@ from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
 from .pipeline import MethodSpec, fit_occ_model, parse_method
+from .subspace import HESSIAN_BETA_MODES
 
 log = logging.getLogger("subsvdd")
 
@@ -30,14 +31,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _method_from_flags(args):
-    if args.method == "svdd":
-        return MethodSpec(family="svdd", kernel=args.kernel)
-    return MethodSpec(
-        family=args.method, kernel=args.kernel, psi=args.psi, direction=args.direction
-    )
 
 
 def _add_train_flags(p, with_out=True):
@@ -72,6 +65,30 @@ def _log_config(args):
     log.info("resolved configuration: %s", json.dumps(resolved, default=str, sort_keys=True))
 
 
+def _fit_flags(args):
+    """The train/trace flags as ``fit_occ_model`` keywords: the method, its
+    hyperparameters, and the options every fit of a run shares."""
+    if args.method == "svdd":
+        method = MethodSpec(family="svdd", kernel=args.kernel)
+    else:
+        method = MethodSpec(family=args.method, kernel=args.kernel, psi=args.psi,
+                            direction=args.direction)
+    params = {
+        "C": args.C,
+        "d": args.dim,
+        "beta": args.beta,
+        "eta": args.eta,
+        "sigma": args.sigma if method.kernel == "rbf" else None,
+    }
+    options = {
+        "k_max": args.iters,
+        "hessian_beta_mode": args.hessian_beta_mode.replace("-", "_"),
+        "damping": args.damping,
+        "zscore": args.zscore,
+    }
+    return method, params, options
+
+
 def _cmd_train(args):
     _log_config(args)
     ds = load_csv(args.data, has_header=args.has_header, label_column=args.label_column)
@@ -81,21 +98,8 @@ def _cmd_train(args):
         )
     mask = ds.labels == args.target_class
     features = ds.features[:, mask]
-    method = _method_from_flags(args)
-    model, trace = fit_occ_model(
-        features,
-        method,
-        C=args.C,
-        d=args.dim,
-        beta=args.beta,
-        eta=args.eta,
-        sigma=args.sigma if method.kernel == "rbf" else None,
-        k_max=args.iters,
-        seed=args.seed,
-        hessian_beta_mode=args.hessian_beta_mode.replace("-", "_"),
-        damping=args.damping,
-        zscore=args.zscore,
-    )
+    method, params, options = _fit_flags(args)
+    model, trace = fit_occ_model(features, method, seed=args.seed, **params, **options)
     model_store.save(model, args.out)
     final = trace[-1]
     print(
@@ -127,57 +131,83 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _grid_from_config(raw):
-    defaults = GridSpec()
-    if not raw:
-        return defaults
-    return GridSpec(
-        beta=tuple(raw.get("beta", defaults.beta)),
-        C=tuple(raw.get("C", defaults.C)),
-        sigma=tuple(raw.get("sigma", defaults.sigma)),
-        d=tuple(raw.get("d", defaults.d)),
-        eta=tuple(raw.get("eta", defaults.eta)),
-    )
+# benchmark-config key -> (run_benchmark keyword, JSON type or allowed values);
+# a key the file leaves out takes the default of run_benchmark or fit_occ_model
+CONFIG_KEYS = {
+    "datasets": ("datasets", list),
+    "methods": ("methods", list),
+    "repetitions": ("repetitions", int),
+    "seed": ("seed", int),
+    "kfolds": ("k", int),
+    "train_frac": ("train_frac", float),
+    "grid": ("grid", dict),
+    "iters": ("k_max", int),
+    "zscore": ("zscore", bool),
+    "hessian_beta_mode": ("hessian_beta_mode", HESSIAN_BETA_MODES),
+    "damping": ("damping", float),
+}
+# the keys of one "datasets" entry: load_csv's parameters
+DATASET_KEYS = ("path", "has_header", "label_column", "name")
+
+
+def _json_is(value, kind):
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def read_benchmark_config(path):
+    """Parse and check a benchmark config without reading its data files.
+
+    Returns the ``run_benchmark`` keywords of the keys the file sets, with
+    ``datasets`` holding the ``load_csv`` keywords of each dataset. A missing
+    or unknown key, or a value of the wrong type, raises ``DataError`` naming
+    the key.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not (isinstance(cfg, dict) and {"datasets", "methods"} <= set(cfg)):
+        raise DataError(f"{path}: a benchmark config is an object with datasets and methods")
+    settings = {}
+    for key, value in cfg.items():
+        if key not in CONFIG_KEYS:
+            raise DataError(
+                f"unknown benchmark config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}"
+            )
+        keyword, kind = CONFIG_KEYS[key]
+        if not _json_is(value, kind):
+            what = f"one of {kind}" if isinstance(kind, tuple) else f"of type {kind.__name__}"
+            raise DataError(f"benchmark config key {key!r} must be {what}, got {value!r}")
+        settings[keyword] = value
+    for spec in settings["datasets"]:
+        if not (isinstance(spec, dict) and "path" in spec and set(spec) <= set(DATASET_KEYS)):
+            raise DataError(
+                f"benchmark config key 'datasets': {spec!r} must be an object with "
+                f"a path and no keys besides {DATASET_KEYS}"
+            )
+    for m in settings["methods"]:
+        try:
+            parse_method(m)
+        except (AttributeError, ValueError) as exc:
+            raise DataError(f"benchmark config key 'methods': {m!r}: {exc}") from None
+    if "grid" in settings:
+        try:
+            settings["grid"] = GridSpec(**settings["grid"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"benchmark config key 'grid': {exc}") from None
+    return settings
 
 
 def _cmd_benchmark(args):
     _log_config(args)
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: invalid JSON ({exc})") from None
-    try:
-        ds_specs = cfg["datasets"]
-        methods = cfg["methods"]
-    except KeyError as exc:
-        raise DataError(f"benchmark config is missing key {exc}") from None
-    datasets = [
-        load_csv(
-            spec["path"],
-            has_header=spec.get("has_header", False),
-            label_column=spec.get("label_column", "last"),
-            name=spec.get("name"),
-        )
-        for spec in ds_specs
-    ]
-    for m in methods:
-        parse_method(m)  # validate early
-    report = run_benchmark(
-        datasets,
-        methods,
-        repetitions=cfg.get("repetitions", 5),
-        seed=cfg.get("seed", 42),
-        grid=_grid_from_config(cfg.get("grid")),
-        k=cfg.get("kfolds", 5),
-        k_max=cfg.get("iters", 100),
-        zscore=cfg.get("zscore", False),
-        train_frac=cfg.get("train_frac", 0.7),
-        jobs=args.jobs,
-        timing=args.timing,
-        hessian_beta_mode=cfg.get("hessian_beta_mode", "as_written"),
-        damping=cfg.get("damping", 0.0),
-    )
+    settings = read_benchmark_config(args.config)
+    settings["datasets"] = [load_csv(**spec) for spec in settings["datasets"]]
+    report = run_benchmark(jobs=args.jobs, timing=args.timing, **settings)
     report.write_csv(args.out_csv)
     table = report.format_table()
     if args.out_table:
@@ -191,25 +221,9 @@ def _cmd_benchmark(args):
 def _cmd_trace(args):
     _log_config(args)
     ds = load_csv(args.data, has_header=args.has_header, label_column=args.label_column)
-    method = _method_from_flags(args)
-    params = {
-        "C": args.C,
-        "d": args.dim,
-        "beta": args.beta,
-        "eta": args.eta,
-        "sigma": args.sigma if method.kernel == "rbf" else None,
-    }
+    method, params, options = _fit_flags(args)
     rows = trace_run(
-        ds,
-        args.target_class,
-        method,
-        params,
-        seed=args.seed,
-        splits=args.splits,
-        k_max=args.iters,
-        zscore=args.zscore,
-        hessian_beta_mode=args.hessian_beta_mode.replace("-", "_"),
-        damping=args.damping,
+        ds, args.target_class, method, params, seed=args.seed, splits=args.splits, **options
     )
     write_trace_csv(rows, args.out)
     print(f"trace written to {args.out} ({len(rows)} rows)")

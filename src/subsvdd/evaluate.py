@@ -11,8 +11,10 @@ All randomness is derived from one base seed, so every cell is reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import logging
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -79,8 +81,11 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("beta", "C", "sigma", "d", "eta"):
-            if not getattr(self, name):
-                raise ValueError(f"grid list {name!r} must be non-empty")
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple)) and values and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
+                raise ValueError(f"grid list {name!r} must be a non-empty list of numbers")
+            object.__setattr__(self, name, tuple(values))
 
 
 def _sort_key(point):
@@ -125,29 +130,20 @@ def enumerate_grid(method: MethodSpec, grid: GridSpec, input_dim):
     return sorted(unique, key=_sort_key)
 
 
-def _fit_point(ds, fit_idx, method, point, seed, k_max, zscore, extra):
-    model, _ = fit_occ_model(
-        ds.features[:, fit_idx],
-        method,
-        C=point["C"],
-        d=point["d"],
-        beta=point["beta"] if point["beta"] is not None else 1.0,
-        eta=point["eta"] if point["eta"] is not None else 0.01,
-        sigma=point["sigma"],
-        k_max=k_max,
-        seed=seed,
-        zscore=zscore,
-        **extra,
-    )
-    return model
+def _fit(features, method, point, seed, **options):
+    """``fit_occ_model`` on one hyperparameter point. Its ``None`` entries
+    (hyperparameters the method does not use) are left out, so they take
+    ``fit_occ_model``'s defaults; ``options`` pass through unchanged."""
+    given = {name: value for name, value in point.items() if value is not None}
+    return fit_occ_model(features, method, seed=seed, **given, **options)
 
 
-def _cv_score(ds, target, folds, method, point, seed, k_max, zscore, extra):
+def _cv_score(ds, target, folds, method, point, seed, options):
     scores = []
     for train_idx, val_idx in folds:
         fit_idx = train_idx[ds.labels[train_idx] == target]
         try:
-            model = _fit_point(ds, fit_idx, method, point, seed, k_max, zscore, extra)
+            model, _ = _fit(ds.features[:, fit_idx], method, point, seed, **options)
             _, pos = predict(model, ds.features[:, val_idx])
             scores.append(gmean(confusion_from_labels(ds.labels[val_idx] == target, pos)))
         except SubsvddError as exc:
@@ -157,22 +153,19 @@ def _cv_score(ds, target, folds, method, point, seed, k_max, zscore, extra):
 
 
 def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec,
-                k=5, seed=0, *, k_max=100, zscore=False, hessian_beta_mode="as_written",
-                damping=0.0):
+                k=5, seed=0, **options):
     """Pick the grid point with the best mean validation Gmean.
 
-    Ties go to the smallest (d, C, beta, eta, sigma) in lexicographic order
-    because candidates are scanned in that order and only strict improvements
-    replace the incumbent.
+    ``options`` go to every ``fit_occ_model`` call unchanged. Ties go to the
+    smallest (d, C, beta, eta, sigma) in lexicographic order because
+    candidates are scanned in that order and only strict improvements replace
+    the incumbent.
     """
     folds = kfold(split.train_all, k, seed)
-    extra = {"hessian_beta_mode": hessian_beta_mode, "damping": damping}
     best_point = None
     best_score = -1.0
     for point in enumerate_grid(method, grid, ds.n_features):
-        score = _cv_score(
-            ds, split.target_class, folds, method, point, seed, k_max, zscore, extra
-        )
+        score = _cv_score(ds, split.target_class, folds, method, point, seed, options)
         if score > best_score:
             best_score = score
             best_point = point
@@ -273,18 +266,15 @@ def _stable_unique(items):
     return seen
 
 
-def _bench_cell(ds, target, method, rep, base_seed, grid, k, k_max, zscore,
-                train_frac, timing, extra):
+def _bench_cell(ds, target, method, rep, options, *, base_seed, grid, k, train_frac, timing):
     """One benchmark cell: split, grid search, final fit, test Gmean."""
     t0 = time.perf_counter()
     split_seed = derive_seed(base_seed, ds.name, target, rep)
     split = make_occ_split(ds, target, train_frac, split_seed)
     cv_seed = derive_seed(base_seed, ds.name, target, rep, "cv")
-    point, _ = grid_search(
-        ds, split, method, grid, k, cv_seed, k_max=k_max, zscore=zscore, **extra
-    )
+    point, _ = grid_search(ds, split, method, grid, k, cv_seed, **options)
     fit_seed = derive_seed(base_seed, ds.name, target, rep, "fit")
-    model = _fit_point(ds, split.train_target, method, point, fit_seed, k_max, zscore, extra)
+    model, _ = _fit(ds.features[:, split.train_target], method, point, fit_seed, **options)
     _, pos = predict(model, ds.features[:, split.test_indices])
     truth = ds.labels[split.test_indices] == target
     score = gmean(confusion_from_labels(truth, pos))
@@ -300,19 +290,14 @@ def _bench_cell(ds, target, method, rep, base_seed, grid, k, k_max, zscore,
     )
 
 
-def _bench_cell_safe(args):
-    (ds, target, method_str, rep, base_seed, grid, k, k_max, zscore,
-     train_frac, timing, extra) = args
-    method = parse_method(method_str)
+def _bench_cell_safe(cell, settings, options):
+    ds, target, method, rep = cell
     try:
-        return _bench_cell(
-            ds, target, method, rep, base_seed, grid, k, k_max, zscore,
-            train_frac, timing, extra,
-        )
+        return _bench_cell(ds, target, method, rep, options, **settings)
     except SubsvddError as exc:
         log.warning(
             "benchmark cell failed (%s / %s / %s / split %d): %s",
-            ds.name, target, method_str, rep, exc,
+            ds.name, target, method, rep, exc,
         )
         return BenchmarkRow(
             dataset=ds.name,
@@ -326,37 +311,40 @@ def _bench_cell_safe(args):
 
 
 def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
-                  k_max=100, zscore=False, train_frac=0.7, jobs=1, timing=False,
-                  hessian_beta_mode="as_written", damping=0.0):
-    """Full repeated-split benchmark over datasets x target classes x methods."""
-    grid = grid or GridSpec()
-    extra = {"hessian_beta_mode": hessian_beta_mode, "damping": damping}
-    items = []
-    for ds in datasets:
-        for target in ds.class_names:
-            for method_str in methods:
-                for rep in range(repetitions):
-                    items.append(
-                        (ds, target, method_str, rep, seed, grid, k, k_max,
-                         zscore, train_frac, timing, extra)
-                    )
+                  train_frac=0.7, jobs=1, timing=False, **options):
+    """Full repeated-split benchmark over datasets x target classes x methods.
+
+    ``options`` go to every ``fit_occ_model`` call unchanged.
+    """
+    specs = [parse_method(m) for m in methods]
+    settings = {"base_seed": seed, "grid": grid or GridSpec(), "k": k,
+                "train_frac": train_frac, "timing": timing}
+    cells = [
+        (ds, target, method, rep)
+        for ds in datasets
+        for target in ds.class_names
+        for method in specs
+        for rep in range(repetitions)
+    ]
+    run_cell = functools.partial(_bench_cell_safe, settings=settings, options=options)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_cell_safe, items, chunksize=1))
+            rows = list(pool.map(run_cell, cells, chunksize=1))
     else:
-        rows = [_bench_cell_safe(it) for it in items]
+        rows = [run_cell(cell) for cell in cells]
     return BenchmarkReport(rows=rows, repetitions=repetitions)
 
 
 def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5, *,
-              k_max=100, zscore=False, train_frac=0.7,
-              hessian_beta_mode="as_written", damping=0.0):
+              train_frac=0.7, **options):
     """Per-iteration (objective, test Gmean) trace over repeated splits.
 
     ``params`` maps hyperparameter names (C, d, beta, eta, sigma) to fixed
-    values; no search happens here. Returns rows (split_index, iteration,
-    objective, gmean) for each split, followed by the across-split average
-    series with split_index 'avg'.
+    values; no search happens here, and ``None`` values take
+    ``fit_occ_model``'s defaults. ``options`` go to ``fit_occ_model``
+    unchanged. Returns rows (split_index, iteration, objective, gmean) for
+    each split, followed by the across-split average series with
+    split_index 'avg'.
     """
     per_split = []
     for rep in range(splits):
@@ -364,20 +352,9 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
         split = make_occ_split(ds, target, train_frac, split_seed)
         fit_seed = derive_seed(seed, ds.name, target, rep, "fit")
         truth = ds.labels[split.test_indices] == target
-        _, trace = fit_occ_model(
-            ds.features[:, split.train_target],
-            method,
-            C=params["C"],
-            d=params.get("d"),
-            beta=params.get("beta", 1.0),
-            eta=params.get("eta", 0.01),
-            sigma=params.get("sigma"),
-            k_max=k_max,
-            seed=fit_seed,
-            hessian_beta_mode=hessian_beta_mode,
-            damping=damping,
-            zscore=zscore,
-            eval_data=(ds.features[:, split.test_indices], truth),
+        _, trace = _fit(
+            ds.features[:, split.train_target], method, params, fit_seed,
+            eval_data=(ds.features[:, split.test_indices], truth), **options,
         )
         per_split.append(trace)
     rows = []

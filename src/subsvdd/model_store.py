@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import zscore_apply
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -224,11 +225,17 @@ def predict(model: TrainedModel, x_new):
         )
     if pts.shape[1] == 0:
         return np.empty(0), np.empty(0, dtype=bool)
-    scaling = model.config.get("scaling")
-    if scaling is not None:
-        mean = np.asarray(scaling["mean"], dtype=np.float64)
-        std = np.asarray(scaling["std"], dtype=np.float64)
-        pts = (pts - mean[:, None]) / std[:, None]
-    if model.npt is not None:
-        pts = npt_map(pts, model.npt)
+    pts = input_features(pts, model.config.get("scaling"), model.npt)
     return decide_batch(model.q @ pts, model.description)
+
+
+def input_features(pts, scaling, npt):
+    """Map a D x M block of raw inputs into the space Q projects: z-score it
+    with ``scaling`` (a dict of per-feature mean and std) when that is set,
+    then map it through the rbf kernel basis ``npt`` when that is set."""
+    if scaling is not None:
+        pts = zscore_apply(pts, np.asarray(scaling["mean"], dtype=np.float64),
+                           np.asarray(scaling["std"], dtype=np.float64))
+    if npt is not None:
+        pts = npt_map(pts, npt)
+    return pts

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import zscore_apply, zscore_fit
+from .data import zscore_fit
 from .errors import DimensionMismatch
-from .kernel import build_npt, npt_map
+from .kernel import build_npt
 from .metrics import confusion_from_labels, gmean
-from .model_store import TrainedModel
+from .model_store import TrainedModel, input_features
 from .subspace import TrainConfig, train
 from .svdd import check_feasible_c, decide_batch
 
@@ -105,11 +105,10 @@ def fit_occ_model(
     # before the scaling and the O(N^3) kernel basis, which C < 1/N would waste
     check_feasible_c(C, x_raw.shape[1])
     scaling = None
-    work = x_raw
     if zscore:
         mean, std = zscore_fit(x_raw)
-        scaling = {"mean": mean.tolist(), "std": std.tolist()}
-        work = zscore_apply(x_raw, mean, std)
+        scaling = {"mean": mean, "std": std}
+    work = input_features(x_raw, scaling, None)
 
     npt = None
     if method.kernel == "rbf":
@@ -121,12 +120,7 @@ def fit_occ_model(
     eval_fn = None
     if eval_data is not None:
         x_eval, is_target = eval_data
-        x_eval = np.asarray(x_eval, dtype=np.float64)
-        if scaling is not None:
-            x_eval = zscore_apply(
-                x_eval, np.asarray(scaling["mean"]), np.asarray(scaling["std"])
-            )
-        x_eval_work = npt_map(x_eval, npt) if npt is not None else x_eval
+        x_eval_work = input_features(np.asarray(x_eval, dtype=np.float64), scaling, npt)
 
         def eval_fn(q, desc):
             _, pos = decide_batch(q @ x_eval_work, desc)
@@ -178,7 +172,7 @@ def fit_occ_model(
         "damping": float(damping),
         "sigma": None if sigma is None else float(sigma),
         "zscore": bool(zscore),
-        "scaling": scaling,
+        "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()},
     }
     model = TrainedModel(
         config=config, q=fit.q, description=fit.description, y_train=fit.y_train, npt=npt

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subsvdd import model_store
-from subsvdd.cli import main
+from subsvdd import evaluate, model_store
+from subsvdd.cli import main, read_benchmark_config
 from subsvdd.data import load_csv
 from subsvdd.subspace import init_projection
 
@@ -100,6 +101,42 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", "x.csv"])
         assert exc.value.code == 1
+
+
+class TestFitFlags:
+    def test_train_flags_reach_the_saved_config(self, tmp_path):
+        data = write_blob_csv(tmp_path / "d.csv")
+        out = tmp_path / "m.json"
+        code = main(
+            ["train", "--data", str(data), "--target-class", "target", "--out", str(out),
+             "--method", "ssvdd", "--kernel", "rbf", "--sigma", "3.0", "--psi", "1",
+             "--direction", "max", "--dim", "3", "--C", "0.3", "--beta", "10",
+             "--eta", "0.001", "--iters", "4", "--seed", "9", "--zscore",
+             "--damping", "0.1", "--hessian-beta-mode", "consistent"]
+        )
+        assert code == 0
+        expected = {
+            "method": "ssvdd", "kernel": "rbf", "psi": 1, "direction": "max", "d": 3,
+            "C": 0.3, "beta": 10.0, "eta": 0.001, "sigma": 3.0, "k_max": 4, "seed": 9,
+            "zscore": True, "damping": 0.1, "hessian_beta_mode": "consistent",
+        }
+        cfg = model_store.load(out).config
+        assert {k: cfg[k] for k in expected} == expected
+        assert cfg["scaling"] is not None
+
+    def test_trace_flags_change_the_trace(self, tmp_path):
+        data = write_blob_csv(tmp_path / "d.csv")
+        base = ["trace", "--data", str(data), "--target-class", "target", "--method", "nssvdd",
+                "--psi", "2", "--dim", "2", "--C", "0.3", "--beta", "10", "--iters", "4",
+                "--splits", "2"]
+        outs = {}
+        for name, extra in [("plain", []), ("zscore", ["--zscore"]),
+                            ("damping", ["--damping", "10"]),
+                            ("mode", ["--hessian-beta-mode", "consistent"])]:
+            out = tmp_path / f"{name}.csv"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            outs[name] = out.read_bytes()
+        assert len(set(outs.values())) == len(outs)
 
 
 class TestPredictCommand:
@@ -222,6 +259,65 @@ class TestBenchmarkCommand:
         p.write_text("{}")
         code = main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"iter": 3}, "iter"),  # a typo for iters
+            ({"grid": {"sigmas": [1.0]}}, "sigmas"),
+            ({"grid": {"C": 0.3}}, "grid"),
+            ({"grid": {"d": []}}, "grid"),
+            ({"repetitions": "1"}, "repetitions"),
+            ({"zscore": 1}, "zscore"),
+            ({"damping": "0.1"}, "damping"),
+            ({"hessian_beta_mode": "as-written"}, "hessian_beta_mode"),
+            ({"methods": ["svdd-linear", "svdd-lineer"]}, "methods"),
+            ({"datasets": [{"path": "d.csv", "label_colum": "first"}]}, "datasets"),
+        ],
+    )
+    def test_config_error_names_the_key(self, tmp_path, caplog, change, key):
+        cfg = json.loads(self._config(tmp_path).read_text())
+        cfg.update(change)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        out_csv = tmp_path / "r.csv"
+        code = main(["benchmark", "--config", str(p), "--out-csv", str(out_csv)])
+        assert code == 2
+        assert repr(key) in caplog.text
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_configs_pass_the_reader(self, path):
+        settings = read_benchmark_config(path)
+        assert settings["datasets"] and settings["methods"]
+
+    def test_config_options_reach_every_fit(self, tmp_path, monkeypatch):
+        configs = []
+        inner = evaluate.fit_occ_model
+
+        def recorded(*args, **kwargs):
+            model, trace = inner(*args, **kwargs)
+            configs.append(model.config)
+            return model, trace
+
+        monkeypatch.setattr(evaluate, "fit_occ_model", recorded)
+        cfg = json.loads(self._config(tmp_path).read_text())
+        cfg.update(zscore=True, damping=0.1, hessian_beta_mode="consistent", repetitions=1)
+        p = tmp_path / "options.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv"),
+                     "--out-table", str(tmp_path / "t.txt")])
+        assert code == 0
+        # 2 methods x 2 classes x 2 C values x 3 folds, plus 4 final fits
+        assert len(configs) == 2 * 2 * 2 * 3 + 4
+        for c in configs:
+            assert (c["k_max"], c["zscore"], c["damping"], c["hessian_beta_mode"]) == (
+                3, True, 0.1, "consistent"
+            )
 
 
 class TestTraceCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subsvdd import evaluate
 from subsvdd.data import DataSet
 from subsvdd.errors import NoNegatives, NoPositives
 from subsvdd.evaluate import (
@@ -233,6 +234,73 @@ class TestTrace:
         text = out.read_text().splitlines()
         assert text[0] == "split_index,iteration,objective,gmean"
         assert len(text) == 1 + len(rows)
+
+
+# every fit option, each away from its default
+OPTIONS = {"k_max": 3, "zscore": True, "hessian_beta_mode": "consistent", "damping": 0.1}
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The keywords of each fit_occ_model call evaluate makes, recorded the way
+    the benchmark counts fits: by swapping the function evaluate looks up."""
+    calls = []
+    inner = evaluate.fit_occ_model
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fit_occ_model", recorded)
+    return calls
+
+
+def assert_forwarded(calls, hyperparameters):
+    """Each call got OPTIONS unchanged, a seed, and only the named,
+    non-None hyperparameters of its point."""
+    assert calls
+    for kwargs in calls:
+        assert {name: kwargs[name] for name in OPTIONS} == OPTIONS
+        rest = set(kwargs) - set(OPTIONS) - {"seed", "eval_data"}
+        assert rest == hyperparameters
+        assert all(kwargs[name] is not None for name in rest)
+
+
+class TestOptionsForwarded:
+    def test_grid_search(self, fit_calls):
+        ds = blob_dataset()
+        split = make_occ_split(ds, "pos", 0.7, seed=7)
+        grid = GridSpec(C=(0.3,), beta=(10.0,), sigma=(1.0,), d=(2,), eta=(0.001,))
+        method = parse_method("nssvdd-linear-psi1-min")
+        grid_search(ds, split, method, grid, k=3, seed=5, **OPTIONS)
+        assert len(fit_calls) == 3
+        assert_forwarded(fit_calls, {"C", "d", "beta", "eta"})
+        assert all(kw["beta"] == 10.0 and kw["eta"] == 0.001 for kw in fit_calls)
+
+    @pytest.mark.parametrize(
+        "method, hyperparameters",
+        [
+            ("svdd-linear", {"C"}),
+            ("svdd-rbf", {"C", "sigma"}),
+            ("ssvdd-rbf-psi2-max", {"C", "d", "beta", "eta", "sigma"}),
+        ],
+    )
+    def test_run_benchmark(self, fit_calls, method, hyperparameters):
+        ds = blob_dataset(n_target=24, n_out=24)
+        grid = GridSpec(C=(0.3,), beta=(1.0,), sigma=(2.0,), d=(2,), eta=(0.01,))
+        run_benchmark([ds], [method], repetitions=1, seed=4, grid=grid, k=3, **OPTIONS)
+        # per target class: one fit per fold and the final fit
+        assert len(fit_calls) == len(ds.class_names) * (3 + 1)
+        assert_forwarded(fit_calls, hyperparameters)
+
+    def test_trace_run(self, fit_calls):
+        ds = blob_dataset()
+        params = {"C": 0.3, "d": 2, "beta": 10.0, "eta": None, "sigma": None}
+        method = parse_method("nssvdd-linear-psi2-min")
+        trace_run(ds, "pos", method, params, seed=3, splits=2, **OPTIONS)
+        assert len(fit_calls) == 2
+        assert_forwarded(fit_calls, {"C", "d", "beta"})
+        assert all(kw["eval_data"] is not None for kw in fit_calls)
 
 
 class TestDeriveSeed:

@@ -13,6 +13,7 @@ from subsvdd.errors import (
     SchemaError,
     VersionError,
 )
+from subsvdd.metrics import confusion_from_labels, gmean
 from subsvdd.model_store import load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
@@ -37,6 +38,27 @@ def rbf_model(seed=0):
         target, method, C=0.2, d=3, beta=0.5, eta=0.001, sigma=3.0, k_max=4, seed=9
     )
     return model
+
+
+class TestInputFeatures:
+    @pytest.mark.parametrize("method", ["nssvdd-rbf-psi2-min", "ssvdd-linear-psi1-max", "svdd-rbf"])
+    def test_last_trace_gmean_equals_predict(self, method):
+        # the trace scores held-out points while fitting; predict scores them
+        # from the finished model: both must map raw inputs to features alike
+        target, outlier = make_blobs(seed=4, n_target=60, n_outlier=30, dim=4, shift=1.5)
+        scale = np.array([[1.0], [10.0], [0.1], [3.0]])
+        offset = np.array([[50.0], [-5.0], [0.0], [200.0]])
+        x_train = target[:, :40] * scale + offset
+        x_eval = np.hstack([target[:, 40:], outlier]) * scale + offset
+        truth = np.arange(x_eval.shape[1]) < 20
+        model, trace = fit_occ_model(
+            x_train, parse_method(method), C=0.1, d=2, sigma=2.0, k_max=5, seed=3,
+            zscore=True, eval_data=(x_eval, truth),
+        )
+        _, pos = predict(model, x_eval)
+        score = gmean(confusion_from_labels(truth, pos))
+        assert 0.0 < score < 1.0
+        assert trace[-1].gmean == score
 
 
 class TestRoundTrip:
