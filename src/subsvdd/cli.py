@@ -146,8 +146,16 @@ CONFIG_KEYS = {
     "hessian_beta_mode": ("hessian_beta_mode", HESSIAN_BETA_MODES),
     "damping": ("damping", float),
 }
-# the keys of one "datasets" entry: load_csv's parameters
-DATASET_KEYS = ("path", "has_header", "label_column", "name")
+# the values a numeric key may take, as (test, description)
+CONFIG_RANGES = {
+    "repetitions": (lambda v: v >= 1, "at least 1"),
+    "kfolds": (lambda v: v >= 2, "at least 2"),
+    "train_frac": (lambda v: 0.0 < v < 1.0, "between 0 and 1"),
+    "iters": (lambda v: v >= 1, "at least 1"),
+    "damping": (lambda v: v >= 0.0, "at least 0"),
+}
+# the keys of one "datasets" entry, load_csv's parameters, and their types
+DATASET_KEYS = {"path": str, "has_header": bool, "label_column": ("first", "last"), "name": str}
 
 
 def _json_is(value, kind):
@@ -163,8 +171,8 @@ def read_benchmark_config(path):
 
     Returns the ``run_benchmark`` keywords of the keys the file sets, with
     ``datasets`` holding the ``load_csv`` keywords of each dataset. A missing
-    or unknown key, or a value of the wrong type, raises ``DataError`` naming
-    the key.
+    or unknown key, or a value of the wrong type or out of range, raises
+    ``DataError`` naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -183,13 +191,22 @@ def read_benchmark_config(path):
         if not _json_is(value, kind):
             what = f"one of {kind}" if isinstance(kind, tuple) else f"of type {kind.__name__}"
             raise DataError(f"benchmark config key {key!r} must be {what}, got {value!r}")
+        if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](value):
+            raise DataError(
+                f"benchmark config key {key!r} must be {CONFIG_RANGES[key][1]}, got {value!r}"
+            )
         settings[keyword] = value
     for spec in settings["datasets"]:
         if not (isinstance(spec, dict) and "path" in spec and set(spec) <= set(DATASET_KEYS)):
             raise DataError(
                 f"benchmark config key 'datasets': {spec!r} must be an object with "
-                f"a path and no keys besides {DATASET_KEYS}"
+                f"a path and no keys besides {tuple(DATASET_KEYS)}"
             )
+        for key, value in spec.items():
+            if not _json_is(value, DATASET_KEYS[key]):
+                raise DataError(
+                    f"benchmark config key 'datasets': {key!r} of {spec!r} cannot be {value!r}"
+                )
     for m in settings["methods"]:
         try:
             parse_method(m)

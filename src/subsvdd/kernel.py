@@ -4,8 +4,12 @@ An RBF kernel over the training data is double-centered and eigendecomposed,
 K_hat = U A U'. Retaining the eigenpairs with lambda > rank_tol * lambda_max
 gives an explicit r-dimensional feature map Phi = A_r^{-1/2} U_r' K_hat whose
 Gram matrix reproduces K_hat, so the linear subspace machinery runs unchanged
-on Phi. Test points are mapped through their (centered) kernel vector against
-the stored training set.
+on Phi. A new point x enters through its kernel vector against the training
+set, centered by the training statistics (``kernel_vectors``); its features
+are phi(x) = A_r^{-1/2} U_r' k_hat(x) (``npt_map``). A fitted subspace Q
+composes with that map into one d x N matrix W = Q A_r^{-1/2} U_r'
+(``subspace_map``), so Q phi(x) = W k_hat(x) and a model needs neither U_r
+nor the eigenvalues to predict.
 """
 from __future__ import annotations
 
@@ -20,15 +24,22 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class NptBasis:
-    """Everything needed to map new points into the explicit feature space."""
+class KernelMap:
+    """What maps new points to their centered kernel vectors."""
 
-    u_r: np.ndarray  # N x r retained eigenvectors
-    eigvals_r: np.ndarray  # r retained (positive) eigenvalues
     k_row_mean: np.ndarray  # N row means of the uncentered training kernel
     sigma: float
     train_x: np.ndarray = field(repr=False)  # D x N original features
-    phi: np.ndarray | None = field(repr=False, default=None)  # r x N; None once loaded
+
+
+@dataclass(frozen=True)
+class NptBasis(KernelMap):
+    """A kernel map plus the retained eigenpairs of the centered training
+    kernel and the training features they give."""
+
+    u_r: np.ndarray  # N x r retained eigenvectors
+    eigvals_r: np.ndarray  # r retained (positive) eigenvalues
+    phi: np.ndarray = field(repr=False)  # r x N
 
     @property
     def rank(self):
@@ -115,22 +126,37 @@ def build_npt(x, sigma, rank_tol=DEFAULT_RANK_TOL):
     )
 
 
-def npt_map(x_new, basis: NptBasis):
-    """Map a D x M block of new points to the r-dimensional feature space.
+def kernel_vectors(x_new, kmap: KernelMap):
+    """The centered kernel vectors of a D x M block of new points, N x M.
 
     Each column's kernel vector against the training set is centered with the
-    training statistics, k_hat* = (I - 11'/N)(k* - K 1/N), then projected
-    through the retained eigenbasis: phi* = A_r^{-1/2} U_r' k_hat*. Of the
-    training kernel K only its stored row means K 1/N are read.
+    training statistics, k_hat* = (I - 11'/N)(k* - K 1/N). Of the training
+    kernel K only its stored row means K 1/N are read.
     """
     pts = np.asarray(x_new, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] != basis.train_x.shape[0]:
+    if pts.ndim != 2 or pts.shape[0] != kmap.train_x.shape[0]:
         raise DimensionMismatch(
             f"new points {pts.shape} do not match training dimension "
-            f"{basis.train_x.shape[0]}"
+            f"{kmap.train_x.shape[0]}"
         )
-    k_star = rbf_kernel_cross(basis.train_x, pts, basis.sigma)  # N x M
-    v = k_star - basis.k_row_mean[:, None]
-    k_hat_star = v - v.mean(axis=0, keepdims=True)
-    return (basis.u_r / np.sqrt(basis.eigvals_r)).T @ k_hat_star
+    k_star = rbf_kernel_cross(kmap.train_x, pts, kmap.sigma)  # N x M
+    v = k_star - kmap.k_row_mean[:, None]
+    return v - v.mean(axis=0, keepdims=True)
+
+
+def npt_map(x_new, basis: NptBasis):
+    """Map a D x M block of new points to the r-dimensional feature space:
+    phi* = A_r^{-1/2} U_r' k_hat*, with k_hat* from ``kernel_vectors``."""
+    return (basis.u_r / np.sqrt(basis.eigvals_r)).T @ kernel_vectors(x_new, basis)
+
+
+def subspace_map(q, u_r, eigvals_r):
+    """W = Q A_r^{-1/2} U_r', the d x N map (C order) that takes a centered
+    kernel vector to the subspace: W k_hat(x) = Q phi(x) up to rounding.
+
+    Subtracting the row means and centering before W is applied, rather than
+    folding the centering into W, keeps the rounding of k(x) ~ 1 (a large
+    sigma) from cancelling.
+    """
+    return q @ (u_r / np.sqrt(eigvals_r)).T
 

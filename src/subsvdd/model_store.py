@@ -1,11 +1,20 @@
 """Serialization of trained models and the standalone prediction path.
 
-Models are stored as JSON (format_version 2) with matrices as nested
+Models are stored as JSON (format_version 3) with matrices as nested
 row-major lists. Python's float repr round-trips IEEE doubles exactly, so a
 save/load cycle reproduces predictions bit for bit. A file holds what
-prediction reads (the config and scaling, Q, the center and radius, and for
-rbf models the kernel eigenmap) plus alpha and the support-vector indices,
-which are validated but not used to decide. Format 1 files still load.
+prediction reads, the config and scaling, the map W, the center and radius,
+plus alpha and the support-vector indices, which are validated but not used
+to decide.
+
+Every model predicts the same way: the input features (z-scored raw inputs,
+and for rbf models their centered kernel vectors against the training set)
+are multiplied by W and thresholded at the radius. A linear model's W is Q.
+An rbf model's W is the d x N product Q A_r^{-1/2} U_r' of the subspace and
+the kernel eigenmap, so its file holds W, the row means of the training
+kernel, sigma and the training inputs, and no U_r, eigenvalues or Q. Format 1
+and 2 files still load; their rbf readers compose W from Q, U_r and the
+eigenvalues as a fit does.
 """
 from __future__ import annotations
 
@@ -22,10 +31,10 @@ from .errors import (
     SchemaError,
     VersionError,
 )
-from .kernel import NptBasis, npt_map
+from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspace_map
 from .svdd import AlphaVector, DataDescription, decide_batch
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 DESCRIPTION_KEYS = ("alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices")
 
@@ -48,45 +57,50 @@ CONFIG_KEYS = (
     "scaling",
 )
 
+# W K_hat W' = I is checked entry by entry to MAP_TOL * eps * N * ||K_hat|| *
+# ||w_a|| ||w_b||: rounding in K_hat's eigenpairs reaches W amplified by
+# A_r^{-1/2}, by up to sqrt(lambda_max / lambda_min) near the rank cut
+MAP_TOL = 16.0
+
 
 @dataclass(frozen=True)
 class TrainedModel:
     """Everything the test phase needs, independent of the training data files."""
 
     config: dict
-    q: np.ndarray
+    w: np.ndarray  # d x F map from input features to the subspace (Q for linear models)
     description: DataDescription
+    # rbf models: the kernel map (a fit keeps its whole NptBasis)
+    npt: KernelMap | None = field(repr=False, default=None)
+    q: np.ndarray | None = field(repr=False, default=None)  # d x D or d x r; None once loaded
     y_train: np.ndarray | None = field(repr=False, default=None)  # d x N; None once loaded
-    npt: NptBasis | None = field(repr=False, default=None)
 
 
 def _check_model(model: TrainedModel):
     cfg = _fields(model.config, "config", CONFIG_KEYS)
-    npt = model.npt
+    npt, w = model.npt, model.w
     if (cfg["kernel"] == "rbf") != (npt is not None):
         raise InvariantViolation("kernel == 'rbf' must coincide with an npt block")
-    q = model.q
-    dev = np.abs(q @ q.T - np.eye(q.shape[0])).max()
-    if not dev <= 1e-8:  # false for NaN too
-        raise InvariantViolation(f"Q rows not orthonormal (deviation {dev:.3e})")
     desc = model.description
     n = desc.alpha.alpha.shape[0]
     for name in ("sv_indices", "boundary_sv_indices"):
         idx = getattr(desc, name)
         if idx.size and not (idx.min() >= 0 and idx.max() < n):
             raise InvariantViolation(f"{name} point outside the {n} training points")
-    if desc.center.shape[0] != q.shape[0]:
-        raise InvariantViolation("center dimension does not match Q rows")
+    if desc.center.shape[0] != w.shape[0]:
+        raise InvariantViolation("center dimension does not match the rows of W")
     if not desc.radius_sq >= 0.0:
         raise InvariantViolation("radius_sq is negative")
-    if npt is not None:
-        r = npt.eigvals_r.shape[0]
-        if npt.train_x.shape[1] != n or npt.u_r.shape != (n, r) or npt.k_row_mean.shape != (n,):
+    if npt is None:
+        dev = np.abs(w @ w.T - np.eye(w.shape[0])).max()
+        if not dev <= 1e-8:  # false for NaN too
+            raise InvariantViolation(f"Q rows not orthonormal (deviation {dev:.3e})")
+    else:
+        if not (npt.train_x.shape[1] == npt.k_row_mean.shape[0] == w.shape[1] == n):
             raise InvariantViolation("npt block does not match the alpha length")
-        if q.shape[1] != r:
-            raise InvariantViolation("Q columns do not match the kernel rank")
-        if not (npt.sigma > 0.0 and np.all(npt.eigvals_r > 0.0)):
-            raise InvariantViolation("sigma and the kept eigenvalues must be positive")
+        if not npt.sigma > 0.0:
+            raise InvariantViolation("sigma must be positive")
+        _check_kernel_map(w, npt)
     if cfg["scaling"] is not None:
         scaling = _fields(cfg["scaling"], "scaling", ("mean", "std"))
         mean, std = (_array(scaling[key], key, 1) for key in ("mean", "std"))
@@ -95,32 +109,51 @@ def _check_model(model: TrainedModel):
             raise SchemaError(f"scaling must hold a mean and a positive std of {dim} features")
 
 
+def _check_kernel_map(w, npt: KernelMap):
+    """W K_hat W' = I, the rbf form of QQ' = I, with K_hat the centered kernel
+    of the stored training inputs; the stored row means must be its own."""
+    k = rbf_kernel(npt.train_x, npt.sigma)
+    if not np.abs(k.mean(axis=1) - npt.k_row_mean).max() <= 1e-12:
+        raise InvariantViolation("K_row_mean is not the row mean of the training kernel")
+    k_hat = center_kernel(k)
+    n = k.shape[0]
+    row_norm = np.sqrt((w * w).sum(axis=1))
+    k_norm = np.abs(k_hat).sum(axis=1).max()  # >= ||K_hat||_2
+    tol = MAP_TOL * np.finfo(np.float64).eps * n * k_norm * np.outer(row_norm, row_norm)
+    dev = np.abs(w @ k_hat @ w.T - np.eye(w.shape[0]))
+    if not np.all(dev <= tol):  # false for NaN too
+        worst = float(np.max(dev / np.maximum(tol, np.finfo(np.float64).tiny)))
+        raise InvariantViolation(
+            f"W K_hat W' is not the identity ({worst:.3e} times the rounding tolerance)"
+        )
+
+
 def _input_dim(model: TrainedModel):
     if model.npt is not None:
         return model.npt.train_x.shape[0]
-    return model.q.shape[1]
+    return model.w.shape[1]
 
 
 def save(model: TrainedModel, path):
-    """Write the model as a format_version 2 JSON document."""
+    """Write the model as a format_version 3 JSON document."""
     _check_model(model)
     desc = model.description
     payload = {
         "format_version": FORMAT_VERSION,
         "config": {k: model.config[k] for k in CONFIG_KEYS},
-        "Q": model.q.tolist(),
-        "description": {
-            "alpha": desc.alpha.alpha.tolist(),
-            "center": desc.center.tolist(),
-            "radius_sq": desc.radius_sq,
-            "sv_indices": desc.sv_indices.tolist(),
-            "boundary_sv_indices": desc.boundary_sv_indices.tolist(),
-        },
+    }
+    if model.npt is None:
+        payload["Q"] = model.w.tolist()
+    payload["description"] = {
+        "alpha": desc.alpha.alpha.tolist(),
+        "center": desc.center.tolist(),
+        "radius_sq": desc.radius_sq,
+        "sv_indices": desc.sv_indices.tolist(),
+        "boundary_sv_indices": desc.boundary_sv_indices.tolist(),
     }
     if model.npt is not None:
         payload["npt"] = {
-            "U_r": model.npt.u_r.tolist(),
-            "eigvals_r": model.npt.eigvals_r.tolist(),
+            "W": model.w.tolist(),
             "K_row_mean": model.npt.k_row_mean.tolist(),
             "sigma": model.npt.sigma,
             "train_X": model.npt.train_x.tolist(),
@@ -163,11 +196,26 @@ def _indices(obj, key):
     return idx.astype(np.int64)
 
 
+def _old_rbf_map(payload, n_raw):
+    """W composed from a format 1 or 2 file's Q, U_r and eigenvalues, as a fit
+    composes it."""
+    _fields(payload, "model file", ("Q",))
+    q = _array(payload["Q"], "Q", 2)
+    u_r = _array(n_raw["U_r"], "U_r", 2)
+    eigvals_r = _array(n_raw["eigvals_r"], "eigvals_r", 1)
+    if not q.shape[1] == u_r.shape[1] == eigvals_r.shape[0]:
+        raise InvariantViolation("Q columns do not match the kernel rank")
+    if not np.all(eigvals_r > 0.0):
+        raise InvariantViolation("the kept eigenvalues must be positive")
+    return subspace_map(q, u_r, eigvals_r)
+
+
 def load(path) -> TrainedModel:
     """Read and validate a model file; invariants are re-checked.
 
-    A format 1 file's ``Y_train`` and ``npt.Phi`` are ignored, and of its
-    ``npt.K_train`` only the row means are kept.
+    A format 1 or 2 rbf model's W is composed from its ``Q``, ``npt.U_r`` and
+    ``npt.eigvals_r``. A format 1 file's ``Y_train`` and ``npt.Phi`` are
+    ignored, and of its ``npt.K_train`` only the row means are kept.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -177,9 +225,9 @@ def load(path) -> TrainedModel:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _fields(payload, f"{path}: top level", ())
     version = payload.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise VersionError(f"unknown format_version {version!r}")
-    _fields(payload, "model file", ("config", "Q", "description"))
+    _fields(payload, "model file", ("config", "description"))
     cfg = _fields(payload["config"], "config", CONFIG_KEYS)
     d_raw = _fields(payload["description"], "description", DESCRIPTION_KEYS)
     desc = DataDescription(
@@ -191,19 +239,23 @@ def load(path) -> TrainedModel:
     )
     npt = None
     if "npt" in payload:
-        n_raw = _fields(payload["npt"], "npt block", ("U_r", "eigvals_r", "sigma", "train_X"))
+        n_raw = _fields(payload["npt"], "npt block", ("sigma", "train_X"))
+        if version == FORMAT_VERSION:
+            w = _array(_fields(n_raw, "npt block", ("W",))["W"], "W", 2)
+        else:
+            w = _old_rbf_map(payload, _fields(n_raw, "npt block", ("U_r", "eigvals_r")))
         if version == 1:  # format 1 held the whole N x N training kernel
             k_row_mean = _array(n_raw.get("K_train"), "K_train", 2).mean(axis=1)
         else:
             k_row_mean = _array(n_raw.get("K_row_mean"), "K_row_mean", 1)
-        npt = NptBasis(
-            u_r=_array(n_raw["U_r"], "U_r", 2),
-            eigvals_r=_array(n_raw["eigvals_r"], "eigvals_r", 1),
+        npt = KernelMap(
             k_row_mean=k_row_mean,
             sigma=float(_array(n_raw["sigma"], "sigma", 0)),
             train_x=_array(n_raw["train_X"], "train_X", 2),
         )
-    model = TrainedModel(config=cfg, q=_array(payload["Q"], "Q", 2), description=desc, npt=npt)
+    else:
+        w = _array(_fields(payload, "model file", ("Q",))["Q"], "Q", 2)
+    model = TrainedModel(config=cfg, w=w, description=desc, npt=npt)
     _check_model(model)
     return model
 
@@ -211,9 +263,8 @@ def load(path) -> TrainedModel:
 def predict(model: TrainedModel, x_new):
     """Score a D x M block of raw inputs: (distance_sq, positive) per column.
 
-    Applies the model's feature scaling (when trained with it), maps through
-    the kernel basis for rbf models, projects with Q, and thresholds the
-    squared distance at the stored radius.
+    Maps the inputs to the model's input features (``input_features``),
+    applies W, and thresholds the squared distance at the stored radius.
     """
     pts = np.asarray(x_new, dtype=np.float64)
     if pts.ndim != 2:
@@ -226,16 +277,17 @@ def predict(model: TrainedModel, x_new):
     if pts.shape[1] == 0:
         return np.empty(0), np.empty(0, dtype=bool)
     pts = input_features(pts, model.config.get("scaling"), model.npt)
-    return decide_batch(model.q @ pts, model.description)
+    return decide_batch(model.w @ pts, model.description)
 
 
 def input_features(pts, scaling, npt):
-    """Map a D x M block of raw inputs into the space Q projects: z-score it
-    with ``scaling`` (a dict of per-feature mean and std) when that is set,
-    then map it through the rbf kernel basis ``npt`` when that is set."""
+    """Map a D x M block of raw inputs to the features W multiplies: z-score
+    it with ``scaling`` (a dict of per-feature mean and std) when that is set,
+    then take its centered kernel vectors against the training set of the
+    kernel map ``npt`` when that is set."""
     if scaling is not None:
         pts = zscore_apply(pts, np.asarray(scaling["mean"], dtype=np.float64),
                            np.asarray(scaling["std"], dtype=np.float64))
     if npt is not None:
-        pts = npt_map(pts, npt)
+        pts = kernel_vectors(pts, npt)
     return pts

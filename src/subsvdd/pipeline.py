@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import zscore_fit
 from .errors import DimensionMismatch
-from .kernel import build_npt
+from .kernel import build_npt, subspace_map
 from .metrics import confusion_from_labels, gmean
 from .model_store import TrainedModel, input_features
 from .subspace import TrainConfig, train
@@ -97,7 +97,8 @@ def fit_occ_model(
 
     ``eval_data`` is an optional (X_eval, is_target) pair in the raw input
     space; when given, each iteration of the trace carries the Gmean of the
-    current model on it. Returns (TrainedModel, trace).
+    current model on it, scored as ``predict`` scores it. Returns
+    (TrainedModel, trace).
     """
     x_raw = np.asarray(features, dtype=np.float64)
     if x_raw.ndim != 2:
@@ -117,13 +118,16 @@ def fit_occ_model(
         npt = build_npt(work, sigma)
         work = npt.phi
 
+    def prediction_map(q):
+        return q if npt is None else subspace_map(q, npt.u_r, npt.eigvals_r)
+
     eval_fn = None
     if eval_data is not None:
         x_eval, is_target = eval_data
         x_eval_work = input_features(np.asarray(x_eval, dtype=np.float64), scaling, npt)
 
         def eval_fn(q, desc):
-            _, pos = decide_batch(q @ x_eval_work, desc)
+            _, pos = decide_batch(prediction_map(q) @ x_eval_work, desc)
             return gmean(confusion_from_labels(is_target, pos))
 
     feat_dim = work.shape[0]
@@ -174,7 +178,6 @@ def fit_occ_model(
         "zscore": bool(zscore),
         "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()},
     }
-    model = TrainedModel(
-        config=config, q=fit.q, description=fit.description, y_train=fit.y_train, npt=npt
-    )
+    model = TrainedModel(config=config, w=prediction_map(fit.q), description=fit.description,
+                         npt=npt, q=fit.q, y_train=fit.y_train)
     return model, fit.trace

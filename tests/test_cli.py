@@ -273,6 +273,13 @@ class TestBenchmarkCommand:
             ({"hessian_beta_mode": "as-written"}, "hessian_beta_mode"),
             ({"methods": ["svdd-linear", "svdd-lineer"]}, "methods"),
             ({"datasets": [{"path": "d.csv", "label_colum": "first"}]}, "datasets"),
+            ({"kfolds": 1}, "kfolds"),
+            ({"iters": 0}, "iters"),
+            ({"train_frac": 1.5}, "train_frac"),
+            ({"repetitions": 0}, "repetitions"),
+            ({"damping": -1, "methods": ["svdd-linear"]}, "damping"),
+            ({"datasets": [{"path": "d.csv", "label_column": "middle"}]}, "label_column"),
+            ({"datasets": [{"path": "d.csv", "has_header": "yes"}]}, "has_header"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, caplog, change, key):

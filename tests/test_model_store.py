@@ -13,12 +13,17 @@ from subsvdd.errors import (
     SchemaError,
     VersionError,
 )
+from subsvdd.kernel import rbf_kernel
 from subsvdd.metrics import confusion_from_labels, gmean
 from subsvdd.model_store import load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
 
-FORMAT2_KEYS = {"format_version", "config", "Q", "description"}
+FIXTURES = Path(__file__).parent / "fixtures"
+FORMAT1 = FIXTURES / "format1"
+FORMAT2 = FIXTURES / "format2"
+LINEAR_KEYS = {"format_version", "config", "Q", "description"}
+RBF_KEYS = {"format_version", "config", "description", "npt"}
 DESCRIPTION_KEYS = {"alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices"}
 
 
@@ -116,25 +121,36 @@ class TestRoundTrip:
         path = tmp_path / "m.json"
         save(linear_model(), path)
         payload = json.loads(path.read_text())
-        assert set(payload) == FORMAT2_KEYS
+        assert set(payload) == LINEAR_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
 
     def test_rbf_model_has_npt_block(self, tmp_path):
+        model = rbf_model()
         path = tmp_path / "m.json"
-        save(rbf_model(), path)
+        save(model, path)
         payload = json.loads(path.read_text())
-        assert set(payload) == FORMAT2_KEYS | {"npt"}
+        assert set(payload) == RBF_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
-        assert set(payload["npt"]) == {"U_r", "eigvals_r", "K_row_mean", "sigma", "train_X"}
-        assert payload["format_version"] == 2
+        assert set(payload["npt"]) == {"W", "K_row_mean", "sigma", "train_X"}
+        assert payload["format_version"] == 3
+        assert np.array_equal(payload["npt"]["W"], model.w)
+        assert model.w.shape == (3, 30) and model.w.flags["C_CONTIGUOUS"]
+
+    def test_fitted_rbf_map_composes_q_and_the_eigenmap(self):
+        model = rbf_model()
+        npt = model.npt
+        expected = model.q @ (npt.u_r / np.sqrt(npt.eigvals_r)).T
+        assert model.w.tobytes() == expected.tobytes()
 
     def test_loaded_model_holds_no_training_features(self, tmp_path):
         path = tmp_path / "m.json"
         save(rbf_model(), path)
         loaded = load(path)
         assert loaded.y_train is None
-        assert loaded.npt.phi is None
+        assert loaded.q is None
+        for name in ("phi", "u_r", "eigvals_r"):
+            assert not hasattr(loaded.npt, name)
 
     def test_resave_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -171,6 +187,15 @@ class TestLoadValidation:
         with pytest.raises(InvariantViolation, match="orthonormal"):
             load(path)
 
+    def test_rbf_file_without_w_named(self, tmp_path):
+        path = tmp_path / "m.json"
+        save(rbf_model(), path)
+        payload = json.loads(path.read_text())
+        del payload["npt"]["W"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="'W'"):
+            load(path)
+
     def test_garbage_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -178,11 +203,15 @@ class TestLoadValidation:
             load(path)
 
 
-def _edited(tmp_path, model, edit):
-    """Save ``model``, apply ``edit`` to the parsed file and write it back."""
+def _edited(tmp_path, source, edit):
+    """Save ``source`` (a model, or the path of a model file to copy), apply
+    ``edit`` to the parsed file and write it back."""
     path = tmp_path / "m.json"
-    save(model, path)
-    payload = json.loads(path.read_text())
+    if isinstance(source, Path):
+        payload = json.loads(source.read_text())
+    else:
+        save(source, path)
+        payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
     return path
@@ -197,6 +226,33 @@ def _set(*keys_and_value):
         payload[last] = value
 
     return edit
+
+
+def _scale_w_row(payload):
+    payload["npt"]["W"][0] = [v * (1.0 + 1e-6) for v in payload["npt"]["W"][0]]
+
+
+def _swap_train_columns(payload):
+    for row in payload["npt"]["train_X"]:
+        row[0], row[1] = row[1], row[0]
+
+
+def _drop_w_column(payload):
+    for row in payload["npt"]["W"]:
+        row.pop()
+
+
+def _consistent(edit):
+    """``edit``, then the kernel row means recomputed from the edited file, so
+    that only the W K_hat W' = I check can tell."""
+
+    def edited(payload):
+        edit(payload)
+        npt = payload["npt"]
+        k = rbf_kernel(np.asarray(npt["train_X"]), npt["sigma"])
+        npt["K_row_mean"] = k.mean(axis=1).tolist()
+
+    return edited
 
 
 class TestLoadRejectsMalformedFields:
@@ -256,12 +312,38 @@ class TestLoadRejectsMalformedFields:
             load(_edited(tmp_path, linear_model(), edit))
 
     @pytest.mark.parametrize(
-        "edit", [_set("npt", "sigma", -1.0), _set("npt", "eigvals_r", 0, 0.0)],
+        "edit, fixture",
+        [(_set("npt", "sigma", -1.0), None),
+         # format 3 stores no eigenvalues, so a zero one comes in a format-2 file
+         (_set("npt", "eigvals_r", 0, 0.0), FORMAT2 / "rbf.json")],
         ids=["sigma-negative", "eigval-zero"],
     )
-    def test_non_positive_kernel_scale(self, tmp_path, edit):
+    def test_non_positive_kernel_scale(self, tmp_path, edit, fixture):
         with pytest.raises(InvariantViolation, match="positive"):
+            load(_edited(tmp_path, fixture or rbf_model(), edit))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set("npt", "W", 0, 0, float("nan")),
+            _consistent(_scale_w_row),
+            _consistent(_set("npt", "sigma", 3.3)),
+            _consistent(_swap_train_columns),
+            _drop_w_column,
+            _set("npt", "K_row_mean", 0, 0.5),
+        ],
+        ids=["W-nan", "W-row-scaled", "sigma-changed", "train_X-swapped", "W-short",
+             "K_row_mean-changed"],
+    )
+    def test_corrupt_rbf_map(self, tmp_path, edit):
+        with pytest.raises((SchemaError, InvariantViolation)):
             load(_edited(tmp_path, rbf_model(), edit))
+
+    def test_corrupt_rbf_map_exits_2(self, tmp_path):
+        path = _edited(tmp_path, rbf_model(), _consistent(_scale_w_row))
+        probes = tmp_path / "probes.csv"
+        probes.write_text("0,0,0,0,0\n")
+        assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
 
     def test_kernel_row_means_of_wrong_length(self, tmp_path):
         edit = _set("npt", "K_row_mean", [0.5])
@@ -269,7 +351,37 @@ class TestLoadRejectsMalformedFields:
             load(_edited(tmp_path, rbf_model(), edit))
 
 
-FORMAT1 = Path(__file__).parent / "fixtures" / "format1"
+def _read_predictions(path):
+    """(distances, labels) of a ``subsvdd predict`` CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return np.array([float(r[1]) for r in rows]), [r[2] for r in rows]
+
+
+def _predict_file(tmp_path, model_path):
+    out = tmp_path / "p.csv"
+    args = ["predict", "--model", str(model_path), "--data", str(FORMAT1 / "probes.csv"),
+            "--out", str(out)]
+    assert main(args) == 0
+    return out
+
+
+def _assert_same_predictions(got, expected):
+    """Equal labels; distances equal to 1e-13 relative."""
+    (d1, l1), (d2, l2) = _read_predictions(got), _read_predictions(expected)
+    assert l1 == l2
+    np.testing.assert_allclose(d1, d2, rtol=1e-13, atol=0)
+
+
+def _assert_resaved_predicts_the_same(tmp_path, old_path, kind):
+    old = load(old_path)
+    path = tmp_path / "m.json"
+    save(old, path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 3
+    assert set(payload) == (RBF_KEYS if kind == "rbf" else LINEAR_KEYS)
+    probes = load_features_csv(FORMAT1 / "probes.csv")
+    for before, after in zip(predict(old, probes), predict(load(path), probes)):
+        assert before.tobytes() == after.tobytes()
 
 
 class TestFormat1:
@@ -277,23 +389,33 @@ class TestFormat1:
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_predictions_byte_identical(self, tmp_path, kind):
-        out = tmp_path / "p.csv"
-        args = ["predict", "--model", str(FORMAT1 / f"{kind}.json"),
-                "--data", str(FORMAT1 / "probes.csv"), "--out", str(out)]
-        assert main(args) == 0
+        out = _predict_file(tmp_path, FORMAT1 / f"{kind}.json")
         assert out.read_bytes() == (FORMAT1 / f"{kind}_predictions.csv").read_bytes()
 
+    def test_rbf_predictions_match_the_format1_code(self, tmp_path):
+        out = _predict_file(tmp_path, FORMAT1 / "rbf.json")
+        _assert_same_predictions(out, FORMAT1 / "rbf_predictions_format1_code.csv")
+
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_resaved_as_format2_predicts_the_same(self, tmp_path, kind):
-        old = load(FORMAT1 / f"{kind}.json")
-        path = tmp_path / "m.json"
-        save(old, path)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
-        assert set(payload) == FORMAT2_KEYS | ({"npt"} if kind == "rbf" else set())
-        probes = load_features_csv(FORMAT1 / "probes.csv")
-        for before, after in zip(predict(old, probes), predict(load(path), probes)):
-            assert before.tobytes() == after.tobytes()
+    def test_resaved_as_format3_predicts_the_same(self, tmp_path, kind):
+        _assert_resaved_predicts_the_same(tmp_path, FORMAT1 / f"{kind}.json", kind)
+
+
+class TestFormat2:
+    """Format-2 files and predictions, written by the format-2 code (see
+    fixtures/format2/README.md)."""
+
+    def test_linear_predictions_byte_identical(self, tmp_path):
+        out = _predict_file(tmp_path, FORMAT2 / "linear.json")
+        assert out.read_bytes() == (FORMAT2 / "linear_predictions.csv").read_bytes()
+
+    def test_rbf_predictions_match_the_format2_code(self, tmp_path):
+        out = _predict_file(tmp_path, FORMAT2 / "rbf.json")
+        _assert_same_predictions(out, FORMAT2 / "rbf_predictions.csv")
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_resaved_as_format3_predicts_the_same(self, tmp_path, kind):
+        _assert_resaved_predicts_the_same(tmp_path, FORMAT2 / f"{kind}.json", kind)
 
 
 class TestPredict:
