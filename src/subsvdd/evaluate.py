@@ -4,7 +4,8 @@ The benchmark protocol per (dataset, target class, method): five stratified
 70/30 splits; on each training portion a 5-fold grid search picks the
 hyperparameters with the best mean validation Gmean (folds are cut from the
 all-classes training portion, models are fitted on the target-class members
-of the non-held-out folds so the held-out fold supplies negatives); the final
+of the non-held-out folds so the held-out fold supplies negatives; the fits
+of one fold and sigma share one kernel basis, see ``grid_search``); the final
 model is refitted on all training targets and scored on the test portion.
 All randomness is derived from one base seed, so every cell is reproducible.
 """
@@ -25,7 +26,7 @@ from .data import DataSet, OccSplit, kfold, make_occ_split
 from .errors import SubsvddError
 from .metrics import ConfusionCounts, confusion_from_labels, gmean
 from .model_store import predict
-from .pipeline import MethodSpec, fit_occ_model, parse_method
+from .pipeline import MethodSpec, fit_occ_model, parse_method, prepare_features
 
 __all__ = [
     "ConfusionCounts",
@@ -138,34 +139,52 @@ def _fit(features, method, point, seed, **options):
     return fit_occ_model(features, method, seed=seed, **given, **options)
 
 
-def _cv_score(ds, target, folds, method, point, seed, options):
-    scores = []
-    for train_idx, val_idx in folds:
-        fit_idx = train_idx[ds.labels[train_idx] == target]
-        try:
-            model, _ = _fit(ds.features[:, fit_idx], method, point, seed, **options)
-            _, pos = predict(model, ds.features[:, val_idx])
-            scores.append(gmean(confusion_from_labels(ds.labels[val_idx] == target, pos)))
-        except SubsvddError as exc:
-            log.debug("grid point %s failed on a fold: %s", point, exc)
-            scores.append(0.0)
-    return float(np.mean(scores))
+def _fold_score(prepared, x_val, is_target, method, point, seed, options):
+    """Validation Gmean of one fold's fit at one point; 0.0 when it fails."""
+    try:
+        model, _ = _fit(prepared, method, point, seed, **options)
+        _, pos = predict(model, x_val)
+        return gmean(confusion_from_labels(is_target, pos))
+    except SubsvddError as exc:
+        log.debug("grid point %s failed on a fold: %s", point, exc)
+        return 0.0
 
 
 def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec,
                 k=5, seed=0, **options):
     """Pick the grid point with the best mean validation Gmean.
 
-    ``options`` go to every ``fit_occ_model`` call unchanged. Ties go to the
-    smallest (d, C, beta, eta, sigma) in lexicographic order because
-    candidates are scanned in that order and only strict improvements replace
-    the incumbent.
+    ``options`` go to every ``fit_occ_model`` call unchanged. The loop runs
+    over folds, then over sigma, then over that sigma's points, and prepares
+    each fold's training columns once per sigma (``prepare_features``): the
+    fits of one (fold, sigma) share its z-scoring and its kernel basis, which
+    is built on the first feasible fit and dropped when the next sigma's
+    features replace it, so one basis is held at a time. A point's score is
+    its mean over the folds, in fold order. Ties go to the smallest (d, C,
+    beta, eta, sigma) in lexicographic order because candidates are scanned
+    in that order and only strict improvements replace the incumbent.
     """
     folds = kfold(split.train_all, k, seed)
+    points = enumerate_grid(method, grid, ds.n_features)
+    by_sigma = {}
+    for i, point in enumerate(points):
+        by_sigma.setdefault(point["sigma"], []).append(i)
+    # the one fit option that shapes the features; left out, it keeps its default
+    shaping = {"zscore": options["zscore"]} if "zscore" in options else {}
+    scores = [[] for _ in points]
+    for train_idx, val_idx in folds:
+        fit_idx = train_idx[ds.labels[train_idx] == split.target_class]
+        x_val = ds.features[:, val_idx]
+        is_target = ds.labels[val_idx] == split.target_class
+        for sigma, members in by_sigma.items():
+            prepared = prepare_features(ds.features[:, fit_idx], method.kernel, sigma, **shaping)
+            for i in members:
+                scores[i].append(_fold_score(prepared, x_val, is_target, method, points[i],
+                                             seed, options))
     best_point = None
     best_score = -1.0
-    for point in enumerate_grid(method, grid, ds.n_features):
-        score = _cv_score(ds, split.target_class, folds, method, point, seed, options)
+    for point, fold_scores in zip(points, scores):
+        score = float(np.mean(fold_scores))
         if score > best_score:
             best_score = score
             best_point = point

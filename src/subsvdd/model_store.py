@@ -158,9 +158,10 @@ def save(model: TrainedModel, path):
             "sigma": model.npt.sigma,
             "train_X": model.npt.train_x.tolist(),
         }
+    # json.dump streams through the pure-Python encoder; one dumps call uses
+    # the C encoder and gives the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _fields(obj, name, keys):

@@ -6,6 +6,13 @@ by ``subspace.train`` in the (possibly kernel-induced) feature space: plain
 SVDD is the fit with Q = I held fixed (psi0, k_max = 1, so no update runs),
 and the subspace families run the iterative optimizer. The family only
 picks the training configuration.
+
+A fit runs in two steps. ``prepare_features`` z-scores the raw training
+columns (when asked) and, for rbf kernels, holds the kernel basis of their
+centered kernel, built on first use; ``fit_occ_model`` fits on such prepared
+features, preparing a raw array itself. Fits that share the training columns,
+the kernel, sigma and the scaling can share one prepared object, and with it
+one O(N^3) basis; grid search does so per (fold, sigma).
 """
 from __future__ import annotations
 
@@ -77,6 +84,61 @@ def parse_method(text):
     raise ValueError(f"bad method string {text!r}")
 
 
+class PreparedFeatures:
+    """Training columns made ready for fits: z-scored when ``zscore`` is set,
+    and for rbf kernels mapped through the kernel basis of their centered
+    kernel at ``sigma``. The basis is built on first use, so a fit whose C is
+    infeasible builds none, and every fit handed this object shares it."""
+
+    def __init__(self, x_raw, kernel, sigma, zscore):
+        self.n = x_raw.shape[1]
+        self.kernel = kernel
+        self.sigma = sigma
+        self.zscore = zscore
+        self.scaling = None
+        if zscore:
+            mean, std = zscore_fit(x_raw)
+            self.scaling = {"mean": mean, "std": std}
+        self.scaled = input_features(x_raw, self.scaling, None)
+        self._npt = None
+
+    @property
+    def npt(self):
+        """The kernel basis (rbf), or None (linear)."""
+        if self.kernel == "rbf" and self._npt is None:
+            self._npt = build_npt(self.scaled, self.sigma)
+        return self._npt
+
+    def check(self, kernel, sigma, zscore):
+        """Raise ValueError unless a fit with this kernel, sigma and scaling
+        may run on these features."""
+        if kernel != self.kernel:
+            raise ValueError(f"features prepared for the {self.kernel} kernel, "
+                             f"not {kernel}")
+        if bool(zscore) != self.zscore:
+            raise ValueError(f"features prepared with zscore={self.zscore}, "
+                             f"not {bool(zscore)}")
+        if kernel == "rbf" and (sigma is None or float(sigma) != self.sigma):
+            raise ValueError(f"features prepared for sigma={self.sigma}, not {sigma}")
+
+
+def prepare_features(x_raw, kernel, sigma=None, zscore=False):
+    """The D x N block of raw training columns ``x_raw`` made ready for fits
+    with this kernel, sigma and scaling (see ``PreparedFeatures``). The
+    columns are copied, so a later write to ``x_raw`` cannot reach the basis
+    built on first use."""
+    x_mat = np.array(x_raw, dtype=np.float64)
+    if x_mat.ndim != 2:
+        raise DimensionMismatch("training features must be a D x N matrix")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if kernel == "rbf":
+        if sigma is None:
+            raise ValueError("rbf methods need sigma")
+        sigma = float(sigma)
+    return PreparedFeatures(x_mat, kernel, sigma, bool(zscore))
+
+
 def fit_occ_model(
     features,
     method: MethodSpec,
@@ -93,30 +155,25 @@ def fit_occ_model(
     zscore=False,
     eval_data=None,
 ):
-    """Fit one model on a D x Nt block of target-class training columns.
+    """Fit one model on target-class training columns.
 
+    ``features`` is either a D x N block of raw columns, prepared here, or
+    what ``prepare_features`` made of one; a prepared object must match the
+    method's kernel, ``sigma`` and ``zscore``, or ValueError is raised.
     ``eval_data`` is an optional (X_eval, is_target) pair in the raw input
     space; when given, each iteration of the trace carries the Gmean of the
     current model on it, scored as ``predict`` scores it. Returns
     (TrainedModel, trace).
     """
-    x_raw = np.asarray(features, dtype=np.float64)
-    if x_raw.ndim != 2:
-        raise DimensionMismatch("training features must be a D x N matrix")
-    # before the scaling and the O(N^3) kernel basis, which C < 1/N would waste
-    check_feasible_c(C, x_raw.shape[1])
-    scaling = None
-    if zscore:
-        mean, std = zscore_fit(x_raw)
-        scaling = {"mean": mean, "std": std}
-    work = input_features(x_raw, scaling, None)
-
-    npt = None
-    if method.kernel == "rbf":
-        if sigma is None:
-            raise ValueError("rbf methods need sigma")
-        npt = build_npt(work, sigma)
-        work = npt.phi
+    if isinstance(features, PreparedFeatures):
+        prepared = features
+        prepared.check(method.kernel, sigma, zscore)
+    else:
+        prepared = prepare_features(features, method.kernel, sigma, zscore)
+    # before the O(N^3) kernel basis, which C < 1/N would waste
+    check_feasible_c(C, prepared.n)
+    scaling, npt = prepared.scaling, prepared.npt
+    work = prepared.scaled if npt is None else npt.phi
 
     def prediction_map(q):
         return q if npt is None else subspace_map(q, npt.u_r, npt.eigvals_r)
