@@ -296,10 +296,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
-    except DimensionMismatch as exc:
+    except (DataError, DimensionMismatch, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
     except (NumericalError, SubsvddError) as exc:

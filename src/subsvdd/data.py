@@ -37,9 +37,6 @@ class DataSet:
     def n_features(self):
         return self.features.shape[0]
 
-    def class_counts(self):
-        return {c: int((self.labels == c).sum()) for c in self.class_names}
-
 
 @dataclass(frozen=True)
 class OccSplit:
@@ -56,7 +53,6 @@ class OccSplit:
     train_all: np.ndarray = field(repr=False)
     test_indices: np.ndarray
     target_class: str
-    seed: int
 
 
 def _read_rows(path, has_header, label_column=None):
@@ -154,7 +150,6 @@ def make_occ_split(ds: DataSet, target, train_frac, seed):
         train_all=np.sort(np.concatenate(train_parts)),
         test_indices=np.sort(np.concatenate(test_parts)),
         target_class=target,
-        seed=int(seed),
     )
 
 

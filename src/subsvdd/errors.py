@@ -33,6 +33,10 @@ class NotSymmetric(NumericalError):
     pass
 
 
+class NonFinite(NumericalError):
+    """An array handed to a numerical routine holds NaN or Inf."""
+
+
 class InfeasibleC(NumericalError):
     """C < 1/N makes the constraints sum(alpha)=1, alpha <= C infeasible."""
 

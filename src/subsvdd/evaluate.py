@@ -62,6 +62,9 @@ REPORT_COLUMNS = (
 
 TRACE_COLUMNS = ("split_index", "iteration", "objective", "gmean")
 
+# share of each class in a split's training portion
+TRAIN_FRAC = 0.7
+
 
 def derive_seed(base, *parts):
     """Stable 63-bit seed from a base seed and any hashable path of parts."""
@@ -205,7 +208,6 @@ class BenchmarkRow:
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: list = field(repr=False)
-    repetitions: int = 5
 
     def mean_gmean(self, dataset, target_class, method_str):
         vals = [
@@ -330,7 +332,7 @@ def _bench_cell_safe(cell, settings, options):
 
 
 def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
-                  train_frac=0.7, jobs=1, timing=False, **options):
+                  train_frac=TRAIN_FRAC, jobs=1, timing=False, **options):
     """Full repeated-split benchmark over datasets x target classes x methods.
 
     ``options`` go to every ``fit_occ_model`` call unchanged.
@@ -351,24 +353,23 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
             rows = list(pool.map(run_cell, cells, chunksize=1))
     else:
         rows = [run_cell(cell) for cell in cells]
-    return BenchmarkReport(rows=rows, repetitions=repetitions)
+    return BenchmarkReport(rows=rows)
 
 
-def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5, *,
-              train_frac=0.7, **options):
+def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5, **options):
     """Per-iteration (objective, test Gmean) trace over repeated splits.
 
     ``params`` maps hyperparameter names (C, d, beta, eta, sigma) to fixed
     values; no search happens here, and ``None`` values take
     ``fit_occ_model``'s defaults. ``options`` go to ``fit_occ_model``
-    unchanged. Returns rows (split_index, iteration, objective, gmean) for
-    each split, followed by the across-split average series with
-    split_index 'avg'.
+    unchanged. Each split trains on TRAIN_FRAC of every class. Returns rows
+    (split_index, iteration, objective, gmean) for each split, followed by
+    the across-split average series with split_index 'avg'.
     """
     per_split = []
     for rep in range(splits):
         split_seed = derive_seed(seed, ds.name, target, rep)
-        split = make_occ_split(ds, target, train_frac, split_seed)
+        split = make_occ_split(ds, target, TRAIN_FRAC, split_seed)
         fit_seed = derive_seed(seed, ds.name, target, rep, "fit")
         truth = ds.labels[split.test_indices] == target
         _, trace = _fit(

@@ -1,15 +1,15 @@
 """Nonlinear feature construction via the kernel eigendecomposition trick.
 
 An RBF kernel over the training data is double-centered and eigendecomposed,
-K_hat = U A U'. Retaining the eigenpairs with lambda > rank_tol * lambda_max
+K_hat = U A U'. Retaining the eigenpairs with lambda > RANK_TOL * lambda_max
 gives an explicit r-dimensional feature map Phi = A_r^{-1/2} U_r' K_hat whose
 Gram matrix reproduces K_hat, so the linear subspace machinery runs unchanged
-on Phi. A new point x enters through its kernel vector against the training
-set, centered by the training statistics (``kernel_vectors``); its features
-are phi(x) = A_r^{-1/2} U_r' k_hat(x) (``npt_map``). A fitted subspace Q
-composes with that map into one d x N matrix W = Q A_r^{-1/2} U_r'
-(``subspace_map``), so Q phi(x) = W k_hat(x) and a model needs neither U_r
-nor the eigenvalues to predict.
+on Phi; ``build_npt`` builds this basis. A new point x enters through its
+kernel vector against the training set, centered by the training statistics
+(``kernel_vectors``); its features are phi(x) = A_r^{-1/2} U_r' k_hat(x)
+(``npt_map``). A fitted subspace Q composes with that map into one d x N
+matrix W = Q A_r^{-1/2} U_r' (``subspace_map``), so Q phi(x) = W k_hat(x)
+and a model needs neither U_r nor the eigenvalues to predict.
 """
 from __future__ import annotations
 
@@ -20,7 +20,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveSigma, NotSymmetric, ZeroKernel
 from .numerics import sym_eig
 
-DEFAULT_RANK_TOL = 1e-10
+# eigenpairs of the centered kernel at or below this fraction of the largest
+# eigenvalue are dropped from the basis
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,6 @@ class NptBasis(KernelMap):
     eigvals_r: np.ndarray  # r retained (positive) eigenvalues
     phi: np.ndarray = field(repr=False)  # r x N
 
-    @property
-    def rank(self):
-        return self.eigvals_r.shape[0]
-
 
 def _pairwise_sq_dists(x, z):
     xx = (x * x).sum(axis=0)
@@ -53,30 +51,24 @@ def _pairwise_sq_dists(x, z):
     return np.maximum(d2, 0.0)
 
 
-def rbf_kernel(x, sigma):
-    """N x N RBF kernel, K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2))."""
-    if sigma <= 0.0:
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
-    x_mat = np.asarray(x, dtype=np.float64)
-    if x_mat.ndim != 2:
-        raise DimensionMismatch("data must be a D x N matrix")
-    k = np.exp(-_pairwise_sq_dists(x_mat, x_mat) / (2.0 * sigma * sigma))
-    k = 0.5 * (k + k.T)
-    np.fill_diagonal(k, 1.0)
-    return k
-
-
 def rbf_kernel_cross(x_train, x_new, sigma):
-    """N x M kernel block between training columns and new columns."""
+    """N x M kernel block of columns x_i and z_j, exp(-||x_i - z_j||^2 / (2 sigma^2))."""
     if sigma <= 0.0:
         raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
     a = np.asarray(x_train, dtype=np.float64)
     b = np.asarray(x_new, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"feature dimensions disagree: {a.shape[0]} vs {b.shape[0]}"
-        )
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"cannot compare columns of {a.shape} and {b.shape}")
     return np.exp(-_pairwise_sq_dists(a, b) / (2.0 * sigma * sigma))
+
+
+def rbf_kernel(x, sigma):
+    """N x N RBF kernel of the columns of x: ``rbf_kernel_cross(x, x, sigma)``
+    made exactly symmetric, with a unit diagonal."""
+    k = rbf_kernel_cross(x, x, sigma)
+    k = 0.5 * (k + k.T)
+    np.fill_diagonal(k, 1.0)
+    return k
 
 
 def center_kernel(k):
@@ -91,38 +83,30 @@ def center_kernel(k):
     return k_mat - row_mean - row_mean.T + total_mean
 
 
-def npt_fit(k_hat, rank_tol=DEFAULT_RANK_TOL):
-    """Eigendecompose the centered kernel and build the explicit feature map.
+def build_npt(x, sigma):
+    """The kernel basis of the D x N training columns ``x`` at ``sigma``.
 
-    Returns (phi, u_r, eigvals_r). Eigenpairs with lambda <= rank_tol *
-    lambda_max are dropped (negative eigenvalues always are); ZeroKernel is
-    raised when nothing survives.
+    The RBF kernel K of the columns is double-centered and eigendecomposed,
+    K_hat = U A U'. Eigenpairs with lambda <= RANK_TOL * lambda_max are
+    dropped (negative eigenvalues always are), and ZeroKernel is raised when
+    nothing survives; the training features are Phi = A_r^{-1/2} U_r' K_hat.
     """
-    k_mat = np.asarray(k_hat, dtype=np.float64)
-    eig = sym_eig(k_mat)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
-    lam_max = vals[0] if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise ZeroKernel("centered kernel has no positive eigenvalue")
-    keep = vals > rank_tol * lam_max
-    vals_r = vals[keep]
-    u_r = np.ascontiguousarray(vecs[:, keep])  # C order, as a loaded model holds it
-    phi = (u_r / np.sqrt(vals_r)).T @ k_mat  # A_r^{-1/2} U_r' K_hat
-    return phi, u_r, vals_r
-
-
-def build_npt(x, sigma, rank_tol=DEFAULT_RANK_TOL):
-    """Kernel -> centering -> eigendecomposition pipeline for training data."""
     x_mat = np.ascontiguousarray(x, dtype=np.float64)  # C order, as a loaded model holds it
     k = rbf_kernel(x_mat, sigma)
-    phi, u_r, vals_r = npt_fit(center_kernel(k), rank_tol=rank_tol)
+    k_hat = center_kernel(k)
+    vals, vecs = sym_eig(k_hat)
+    if not (vals.size and vals[0] > 0.0):
+        raise ZeroKernel("centered kernel has no positive eigenvalue")
+    keep = vals > RANK_TOL * vals[0]
+    vals_r = vals[keep]
+    u_r = np.ascontiguousarray(vecs[:, keep])  # C order, as a loaded model holds it
     return NptBasis(
         u_r=u_r,
         eigvals_r=vals_r,
         k_row_mean=k.mean(axis=1),
         sigma=float(sigma),
         train_x=x_mat,
-        phi=phi,
+        phi=(u_r / np.sqrt(vals_r)).T @ k_hat,
     )
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import zscore_apply
 from .errors import (
+    DataError,
     DimensionMismatch,
     InvariantViolation,
     SchemaError,
@@ -265,7 +266,9 @@ def predict(model: TrainedModel, x_new):
     """Score a D x M block of raw inputs: (distance_sq, positive) per column.
 
     Maps the inputs to the model's input features (``input_features``),
-    applies W, and thresholds the squared distance at the stored radius.
+    applies W, and thresholds the squared distance at the stored radius. An
+    input whose distance is NaN (it holds NaN, or Inf where W mixes it)
+    raises DataError.
     """
     pts = np.asarray(x_new, dtype=np.float64)
     if pts.ndim != 2:
@@ -278,7 +281,11 @@ def predict(model: TrainedModel, x_new):
     if pts.shape[1] == 0:
         return np.empty(0), np.empty(0, dtype=bool)
     pts = input_features(pts, model.config.get("scaling"), model.npt)
-    return decide_batch(model.w @ pts, model.description)
+    dist, pos = decide_batch(model.w @ pts, model.description)
+    if np.isnan(dist.max()):  # max propagates NaN: one pass, no temporary array
+        raise DataError(f"input columns {np.flatnonzero(np.isnan(dist)).tolist()} "
+                        "have no distance: they hold NaN or Inf")
+    return dist, pos
 
 
 def input_features(pts, scaling, npt):

@@ -2,15 +2,14 @@
 
 Matrices are C-ordered float64 ndarrays; vectorizing a matrix always means
 row-major order (``reshape(-1)``), i.e. entry (i, j) of an r x c matrix lands
-at flat index i*c + j. All functions are pure and reject NaN/Inf inputs.
+at flat index i*c + j. All functions are pure and reject NaN/Inf inputs
+(``NonFinite``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric, RankDeficient
+from .errors import DimensionMismatch, NonFinite, NotSymmetric, RankDeficient
 
 RANK_TOL = 1e-12
 SYM_TOL = 1e-9
@@ -22,7 +21,7 @@ def as_matrix(m, name="matrix"):
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFinite(f"{name} contains NaN or Inf")
     return a
 
 
@@ -56,16 +55,9 @@ def qr_orthonormalize_rows(m):
     return out
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Symmetric eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray  # shape (n,), descending
-    eigenvectors: np.ndarray  # shape (n, n), columns match eigenvalues
-
-
 def sym_eig(s):
-    """Eigendecompose a symmetric matrix, eigenvalues descending.
+    """Eigendecompose a symmetric matrix: (eigenvalues, eigenvectors) as
+    ``numpy.linalg.eigh`` returns them, but with the eigenvalues descending.
 
     Input asymmetry up to SYM_TOL is tolerated and symmetrized away (centered
     kernels pick up ~1e-15 asymmetry from floating point); larger asymmetry
@@ -81,4 +73,4 @@ def sym_eig(s):
     sym = 0.5 * (a + a.T)
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1]
-    return EigDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    return vals[order], vecs[:, order]

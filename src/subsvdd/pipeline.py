@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import zscore_fit
-from .errors import DimensionMismatch
+from .errors import DataError, DimensionMismatch
 from .kernel import build_npt, subspace_map
 from .metrics import confusion_from_labels, gmean
 from .model_store import TrainedModel, input_features
@@ -126,10 +126,13 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
     """The D x N block of raw training columns ``x_raw`` made ready for fits
     with this kernel, sigma and scaling (see ``PreparedFeatures``). The
     columns are copied, so a later write to ``x_raw`` cannot reach the basis
-    built on first use."""
+    built on first use. A column holding NaN or Inf raises DataError."""
     x_mat = np.array(x_raw, dtype=np.float64)
     if x_mat.ndim != 2:
         raise DimensionMismatch("training features must be a D x N matrix")
+    bad = np.flatnonzero(~np.isfinite(x_mat).all(axis=0))
+    if bad.size:
+        raise DataError(f"training columns {bad.tolist()} hold NaN or Inf")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "rbf":

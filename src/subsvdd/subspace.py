@@ -78,6 +78,7 @@ OPTIMIZERS = ("gradient", "newton")
 HESSIAN_BETA_MODES = ("as_written", "consistent")
 # eigenvalues of B + mu I at or below this fraction of the largest are dropped
 EIG_REL_TOL = 1e-10
+MAX_REDRAWS = 3  # redraws of dependent rows of Q before a fit fails
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,14 @@ def newton_step(q, block, beta, mode="as_written", mu=0.0):
         raise ValueError("mu must be >= 0")
     m = hessian_core(block, beta, mode)
     thin = m.shape[1] < m.shape[0]
-    eig = sym_eig(m.T @ m if thin else m @ m.T)
-    b = 2.0 * eig.eigenvalues
+    lam, vecs = sym_eig(m.T @ m if thin else m @ m.T)
+    b = 2.0 * lam
     keep = b + mu > EIG_REL_TOL * (b.max() + mu)
     if thin:
-        keep &= eig.eigenvalues > 0.0
-        u = m @ (eig.eigenvectors[:, keep] / np.sqrt(eig.eigenvalues[keep]))
+        keep &= lam > 0.0
+        u = m @ (vecs[:, keep] / np.sqrt(lam[keep]))
     else:
-        u = eig.eigenvectors[:, keep]
+        u = vecs[:, keep]
     b = b[keep]
     q_mat = np.asarray(q, dtype=np.float64)
     step = ((q_mat @ u) * (b / (b + mu))) @ u.T
@@ -286,13 +287,14 @@ def update_step(q, block, cfg: TrainConfig):
     return q + sign * cfg.eta * step
 
 
-def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
+def _orthonormalize_with_recovery(q_raw, rng):
     """Orthonormalize q_raw's rows (QR), redrawing rows the QR flags as dependent.
 
-    At most 3 redraws; after them a still dependent Q raises DegenerateSubspace.
+    At most MAX_REDRAWS redraws; after them a still dependent Q raises
+    DegenerateSubspace.
     """
     attempt = q_raw
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         try:
             return qr_orthonormalize_rows(attempt)
         except RankDeficient as exc:
@@ -304,7 +306,7 @@ def _orthonormalize_with_recovery(q_raw, rng, max_redraws=3):
         return qr_orthonormalize_rows(attempt)
     except RankDeficient as exc:
         raise DegenerateSubspace(
-            f"projection stayed rank-deficient after {max_redraws} redraws"
+            f"projection stayed rank-deficient after {MAX_REDRAWS} redraws"
         ) from exc
 
 
@@ -316,11 +318,13 @@ def init_projection(d, big_d, rng):
 def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     """Run the full iterative optimization and describe the final subspace.
 
-    ``x`` is D x N training data (one column per sample). The loop runs while
-    k < k_max, so k_max = 1 performs no update and describes the randomly
-    initialized subspace. The trace holds one row per iteration k = 1..k_max
-    (objective of the current subspace and, when ``eval_fn`` is given, its
-    score); the final row belongs to the returned model.
+    ``x`` is D x N training data (one column per sample). Each iteration
+    k = 1..k_max projects the data, solves the dual (warm-started from the
+    previous alpha), builds lam and appends one trace row (objective of the
+    current subspace and, when ``eval_fn`` is given, its score); while
+    k < k_max it then updates Q. So k_max = 1 performs no update and
+    describes the randomly initialized subspace, and the final row belongs
+    to the returned model.
 
     ``eval_fn(q, desc) -> float`` may be attached to score each
     iteration's model on held-out data. ``q0`` overrides the seeded random
@@ -343,31 +347,17 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         q = _orthonormalize_with_recovery(np.asarray(q0, dtype=np.float64), rng)
 
     trace: list[TraceRow] = []
-
-    def fit_dual(q_now, warm):
-        y = project(q_now, x_mat)
-        return y, solve_dual(y.T, cfg.C, alpha0=warm)
-
-    def record(k, q_now, alpha, y, lam):
-        obj = objective(y, alpha.alpha, lam, cfg.beta)
-        score = None
-        if eval_fn is not None:
-            score = eval_fn(q_now, describe(alpha, y))
-        orth = float(np.abs(q_now @ q_now.T - np.eye(cfg.d)).max())
-        trace.append(TraceRow(iteration=k, objective=obj, gmean=score, orth_error=orth))
-
-    k = 1
     warm = None
-    while k < cfg.k_max:
-        y, alpha = fit_dual(q, warm)
+    for k in range(1, cfg.k_max + 1):
+        y = project(q, x_mat)
+        alpha = solve_dual(y.T, cfg.C, alpha0=warm)
         warm = alpha.alpha
         lam = build_lambda(cfg.reg_kind, alpha)
-        record(k, q, alpha, y, lam)
-        block = support_block(x_mat, alpha.alpha, lam)
-        q = _orthonormalize_with_recovery(update_step(q, block, cfg), rng)
-        k += 1
-
-    y, alpha = fit_dual(q, warm)
-    record(cfg.k_max, q, alpha, y, build_lambda(cfg.reg_kind, alpha))
-    desc = describe(alpha, y)
+        desc = describe(alpha, y) if eval_fn is not None or k == cfg.k_max else None
+        score = None if eval_fn is None else eval_fn(q, desc)
+        orth = float(np.abs(q @ q.T - np.eye(cfg.d)).max())
+        trace.append(TraceRow(k, objective(y, alpha.alpha, lam, cfg.beta), score, orth))
+        if k < cfg.k_max:
+            block = support_block(x_mat, alpha.alpha, lam)
+            q = _orthonormalize_with_recovery(update_step(q, block, cfg), rng)
     return SubspaceFit(q=q, description=desc, y_train=y, trace=trace)

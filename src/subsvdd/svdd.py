@@ -20,15 +20,15 @@ clipped to the box. That pair is found on the block of pairs that can gain at
 all (i free to grow, j free to shrink, gradient of i above that of j); every
 other pair's step and gain are exactly 0, so the block gives the same answer
 as scoring all N^2 pairs. The gradient is updated incrementally; when the
-best gain falls to ``tol`` after an update, the gradient is recomputed from
-scratch and the block scored once more. The solve stops only when the best
-gain on a freshly computed gradient is at most ``tol``, which certifies that
-no feasible exchange improves the objective by more; a start that is already
-optimal costs one sweep. Without a warm start the solver begins with
-alpha = C on the floor(1/C) points of largest G_ii, the points farthest from
-the mean, where the support vectors lie; an exchange zeroes at most one
-alpha, so a start spread over all N points would need at least N - #SV
-updates.
+best gain falls to the tolerance tol = 1e-12 max(1, max G_ii) after an
+update, the gradient is recomputed from scratch and the block scored once
+more. The solve stops only when the best gain on a freshly computed gradient
+is at most tol, which certifies that no feasible exchange improves the
+objective by more; a start that is already optimal costs one sweep. Without
+a warm start the solver begins with alpha = C on the floor(1/C) points of
+largest G_ii, the points farthest from the mean, where the support vectors
+lie; an exchange zeroes at most one alpha, so a start spread over all N
+points would need at least N - #SV updates.
 
 Pair exchange converges only linearly once the free set F = {0 < a < C} and
 the set at C have settled (Keerthi et al. 2001), and on a flat dual it can
@@ -42,7 +42,7 @@ a_F reaches 0 or C; otherwise it is the min-norm Newton step to the face's
 optimum, clipped by the ratio test. A step is taken only when a stays in the
 box with sum(a) = 1 and the dual does not fall; the gradient is then
 recomputed from scratch. The face step only moves a between pair updates:
-the loop, its stopping test and ``tol`` are unchanged, so every returned a
+the loop, its stopping test and tol are unchanged, so every returned a
 carries the same certificate, and ``max_passes`` still counts pair updates.
 """
 from __future__ import annotations
@@ -65,6 +65,7 @@ SV_EPS_FACTOR = 1e-6
 # in the face step, singular values of the free points (less their mean) at
 # most this fraction of the largest count as zero
 FACE_RANK_CUT = 1e-10
+SWEEP_TILE = 2**18  # entries in one row tile of the pair sweep's block
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,6 @@ class AlphaVector:
 
     alpha: np.ndarray
     C: float
-
-    def validate(self, tol=1e-8):
-        a = self.alpha
-        if abs(a.sum() - 1.0) > tol:
-            raise ValueError(f"sum(alpha) = {a.sum()!r}, expected 1")
-        if a.min() < -tol or a.max() > self.C + tol:
-            raise ValueError("alpha outside [0, C]")
 
 
 @dataclass(frozen=True)
@@ -131,26 +125,32 @@ def _pair_sweep(diag, points, alpha, grad, C):
     of (signed) zero from the clip at 0, as den is floored above 0; so the
     block holds the same values as the full N x N scan, up to the sign of a
     zero gain, in the same row-major order, and it returns the same
-    maximum and the same first argmax. With no positive gain it returns
-    (0, 0, 0.0, 0.0).
+    maximum and the same first argmax. It is scored in tiles of whole rows,
+    at most SWEEP_TILE entries (or one row), so its memory stays bounded; a
+    tile's best replaces the incumbent only when strictly larger, and
+    ``_gram_block`` gives a tile the bits of the whole block. With no
+    positive gain it returns (0, 0, 0.0, 0.0).
     """
+    best = (0, 0, 0.0, 0.0)
     up = alpha < C
     dn = alpha > 0.0
     g_up, g_dn = grad[up], grad[dn]
     if g_up.size and g_dn.size:
         rows = np.nonzero(up & (grad > g_dn.min()))[0]
         cols = np.nonzero(dn & (grad < g_up.max()))[0]
-        if rows.size:
-            num = grad[rows][:, None] - grad[cols][None, :]
-            den = (diag[rows][:, None] + diag[cols][None, :]
-                   - 2.0 * _gram_block(points[rows], points[cols]))
-            t_hi = np.minimum(alpha[cols][None, :], C - alpha[rows][:, None])
+        height = max(1, SWEEP_TILE // max(cols.size, 1))
+        for top in range(0, rows.size, height):
+            tile = rows[top:top + height]
+            num = grad[tile][:, None] - grad[cols][None, :]
+            den = (diag[tile][:, None] + diag[cols][None, :]
+                   - 2.0 * _gram_block(points[tile], points[cols]))
+            t_hi = np.minimum(alpha[cols][None, :], C - alpha[tile][:, None])
             t = np.minimum(np.maximum(num / (2.0 * np.maximum(den, 1e-30)), 0.0), t_hi)
             gain = num * t - den * t * t
             r, c = divmod(int(np.argmax(gain)), cols.size)
-            if gain[r, c] > 0.0:
-                return int(rows[r]), int(cols[c]), float(t[r, c]), float(gain[r, c])
-    return 0, 0, 0.0, 0.0
+            if gain[r, c] > best[3]:
+                best = int(tile[r]), int(cols[c]), float(t[r, c]), float(gain[r, c])
+    return best
 
 
 def _line_search(step, pf, a_f, g_f, C):
@@ -258,33 +258,33 @@ def _cold_start(diag, C):
     return alpha
 
 
-def solve_dual(points, C, tol=None, max_passes=None, alpha0=None):
+def solve_dual(points, C, max_passes=None, alpha0=None):
     """Solve the SVDD dual of the N x k ``points`` (one row per sample) for box bound ``C``.
 
     The dual's Gram matrix is G = Pc Pc' of the points less their mean
     (centering is exact because sum(alpha) = 1); it is never formed, so the
     solve needs O(Nk) memory besides the scored block. A caller holding a
     d x N array of columns passes its transpose. Deterministic for fixed
-    inputs. ``tol`` is the KKT residual: at return no feasible pairwise
-    exchange improves the objective by more than tol. The default,
-    1e-12 * max(1, max G_ii), is far tighter than the documented 1e-6 bound
-    so that boundary support vectors agree with the radius to ~1e-6
-    relative. Each update takes the best pair of ``_pair_sweep``, scored on
-    the block of pairs that can gain, which near the solution is a few rows
-    and columns, not N x N; the final sweep, on a freshly computed
-    G alpha = Pc (Pc' alpha), is the certificate. ``alpha0`` warm-starts the
-    iteration when it is already feasible (the iterative trainer passes the
-    previous alpha); otherwise alpha starts at C on the floor(1/C) points of
-    largest G_ii (ties in index order), with the remainder on the next point
-    (``_cold_start``). After two pair updates in a row that keep the free
-    set F = {0 < alpha < C}, with |F| >= 3, one face step (``_face_step``)
-    solves the dual on the face of F exactly, or follows a direction along
-    which the dual is linear to the next bound; it is kept only when alpha
-    stays feasible and the dual does not fall, and the gradient is then
-    recomputed from scratch. It does not count as a pair update, and the
-    solve still ends only on the certificate above. Raises InfeasibleC when
-    C < 1/N and NotConverged when the criterion is not met within
-    ``max_passes`` pair updates (default 10*N^2).
+    inputs. At return no feasible pairwise exchange improves the objective
+    by more than the KKT tolerance tol = 1e-12 * max(1, max G_ii), far
+    tighter than the documented 1e-6 bound so that boundary support vectors
+    agree with the radius to ~1e-6 relative. Each update takes the best pair
+    of ``_pair_sweep``, scored on the block of pairs that can gain, which
+    near the solution is a few rows and columns, not N x N; the final sweep,
+    on a freshly computed G alpha = Pc (Pc' alpha), is the certificate.
+    ``alpha0`` warm-starts the iteration when it is already feasible (the
+    iterative trainer passes the previous alpha); otherwise alpha starts at
+    C on the floor(1/C) points of largest G_ii (ties in index order), with
+    the remainder on the next point (``_cold_start``). After two pair
+    updates in a row that keep the free set F = {0 < alpha < C}, with
+    |F| >= 3, one face step (``_face_step``) solves the dual on the face of
+    F exactly, or follows a direction along which the dual is linear to the
+    next bound; it is kept only when alpha stays feasible and the dual does
+    not fall, and the gradient is then recomputed from scratch. It does not
+    count as a pair update, and the solve still ends only on the certificate
+    above. Raises InfeasibleC when C < 1/N and NotConverged when the
+    criterion is not met within ``max_passes`` pair updates (default
+    10*N^2).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -294,15 +294,12 @@ def solve_dual(points, C, tol=None, max_passes=None, alpha0=None):
         raise DimensionMismatch("no points")
     c_bound = float(C)
     check_feasible_c(c_bound, n)
-    if n == 1:
-        return AlphaVector(alpha=np.array([1.0]), C=c_bound)
     if max_passes is None:
         max_passes = 10 * n * n
 
     pc = np.ascontiguousarray(pts - pts.mean(axis=0))
     diag = np.einsum("ik,ik->i", pc, pc)  # G_ii, the same bits as _gram_block's
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(diag.max()))
+    tol = 1e-12 * max(1.0, float(diag.max()))
     alpha = None
     if alpha0 is not None:
         cand = np.asarray(alpha0, dtype=np.float64)

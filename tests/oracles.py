@@ -63,14 +63,14 @@ def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
         raise ValueError("mu must be >= 0")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    eig = sym_eig(h)
-    lam = eig.eigenvalues + mu
+    vals, vecs = sym_eig(h)
+    lam = vals + mu
     scale = np.abs(lam).max() if lam.size else 0.0
     inv = np.zeros_like(lam)
     if scale > 0.0:
         keep = np.abs(lam) >= rel_tol * scale
         inv[keep] = 1.0 / lam[keep]
-    return eig.eigenvectors, inv
+    return vecs, inv
 
 
 def solve_damped(h, g, mu=0.0, rel_tol=1e-10):
@@ -81,6 +81,14 @@ def solve_damped(h, g, mu=0.0, rel_tol=1e-10):
         raise DimensionMismatch(f"rhs length {rhs.shape} does not match H {a.shape}")
     u, inv = damped_pinv_factor(a, mu=mu, rel_tol=rel_tol)
     return u @ (inv * (u.T @ rhs))
+
+
+def assert_feasible(alpha, tol=1e-8):
+    """Assert that the AlphaVector ``alpha`` is a feasible dual point to
+    ``tol``: sum(alpha) = 1 and every entry in [0, C]."""
+    a = alpha.alpha
+    assert abs(a.sum() - 1.0) <= tol, f"sum(alpha) = {a.sum()!r}, expected 1"
+    assert a.min() >= -tol and a.max() <= alpha.C + tol, "alpha outside [0, C]"
 
 
 def dual_objective(gram, alpha):

@@ -10,7 +10,6 @@ from subsvdd.errors import (
 from subsvdd.kernel import (
     build_npt,
     center_kernel,
-    npt_fit,
     npt_map,
     rbf_kernel,
 )
@@ -64,11 +63,14 @@ class TestCenterKernel:
             center_kernel(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-class TestNptFit:
+class TestBuildNpt:
     def test_two_point_hand_decomposition(self):
-        c = 0.3
+        # two points at distance 1 and sigma = 1: K_12 = e^{-1/2}, and the
+        # centered kernel is [[c, -c], [-c, c]] with c = (1 - e^{-1/2}) / 2
+        c = (1.0 - np.exp(-0.5)) / 2.0
         k_hat = np.array([[c, -c], [-c, c]])
-        phi, u_r, vals = npt_fit(k_hat)
+        basis = build_npt(np.array([[0.0, 1.0]]), 1.0)
+        phi, vals = basis.phi, basis.eigvals_r
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(2 * c)
         assert phi.shape == (1, 2)
@@ -78,7 +80,8 @@ class TestNptFit:
         for n, sigma in [(10, 0.5), (40, 1.0), (100, 3.0)]:
             x = rng.standard_normal((5, n))
             k_hat = center_kernel(rbf_kernel(x, sigma))
-            phi, _, vals = npt_fit(k_hat)
+            basis = build_npt(x, sigma)
+            phi, vals = basis.phi, basis.eigvals_r
             rel = np.linalg.norm(phi.T @ phi - k_hat) / np.linalg.norm(k_hat)
             assert rel < 1e-8
             assert vals.min() > 0.0
@@ -87,11 +90,12 @@ class TestNptFit:
     def test_duplicate_points_reduce_rank(self):
         x = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
         basis = build_npt(x, 1.0)
-        assert basis.rank < 3
+        assert basis.eigvals_r.size < 3
 
     def test_zero_kernel_raises(self):
+        # identical columns: every kernel entry is 1, the centered kernel 0
         with pytest.raises(ZeroKernel):
-            npt_fit(np.zeros((4, 4)))
+            build_npt(np.tile([[1.0], [2.0], [3.0]], 4), 1.0)
 
 
 class TestNptMap:
@@ -149,5 +153,5 @@ class TestPipelineComposition:
         basis = build_npt(x, 1.5)
         cfg = TrainConfig(d=2, C=0.3, k_max=3, seed=5)
         fit_on_phi = train(basis.phi, cfg)
-        assert fit_on_phi.q.shape == (2, basis.rank)
+        assert fit_on_phi.q.shape == (2, basis.eigvals_r.size)
         assert max(t.orth_error for t in fit_on_phi.trace) <= 1e-10

@@ -373,6 +373,32 @@ class TestTrain:
             np.testing.assert_allclose(fit.q, expected_q, rtol=0, atol=1e-15)
             assert fit.description.radius_sq == 0.0
 
+    def test_each_iterate_is_described_once(self, monkeypatch):
+        from subsvdd import subspace
+
+        described, scored = [], []
+
+        def describe(alpha, y, real=subspace.describe):
+            described.append(real(alpha, y))
+            return described[-1]
+
+        def eval_fn(q, desc):
+            scored.append(desc)
+            return 0.5
+
+        monkeypatch.setattr(subspace, "describe", describe)
+        x = np.random.default_rng(8).standard_normal((4, 15))
+        cfg = TrainConfig(d=2, C=0.3, k_max=5)
+        fit = train(x, cfg, eval_fn=eval_fn)
+        # every iterate is scored on its own description, the last one's is the model
+        assert len(described) == 5 and list(map(id, scored)) == list(map(id, described))
+        assert fit.description is described[-1]
+        assert [r.gmean for r in fit.trace] == [0.5] * 5
+        described.clear()
+        plain = train(x, cfg)
+        assert len(described) == 1 and plain.description is described[0]
+        assert plain.description.radius_sq == fit.description.radius_sq
+
     def test_trace_has_k_max_rows(self):
         gen = np.random.default_rng(2)
         x = gen.standard_normal((4, 15))

@@ -14,7 +14,7 @@ from subsvdd.errors import (
     NoSupportVectors,
     NotConverged,
 )
-from oracles import dual_objective, pair_sweep_full
+from oracles import assert_feasible, dual_objective, pair_sweep_full
 from subsvdd.pipeline import fit_occ_model, parse_method
 from subsvdd.svdd import (
     AlphaVector,
@@ -89,8 +89,12 @@ def simplex_grid_max(gram, c_bound, step=1e-3):
 
 class TestSolveDual:
     def test_single_point(self):
-        av = solve_dual(np.array([[2.0]]), C=1.0)
-        np.testing.assert_allclose(av.alpha, [1.0])
+        # the general loop, with no case of its own for N = 1, puts all the
+        # mass on the point for every feasible C
+        for c in (1.0, 2.0, 1e6):
+            av = solve_dual(np.array([[2.0]]), C=c)
+            np.testing.assert_allclose(av.alpha, [1.0])
+            assert av.alpha.tolist() == [1.0] and av.C == c
 
     def test_symmetric_pair(self):
         y = np.array([[-1.0, 1.0]])
@@ -114,7 +118,7 @@ class TestSolveDual:
             y = rng.standard_normal((3, 12))
             c = float(rng.uniform(1.0 / 12, 0.6))
             av = solve_dual(y.T, c)
-            av.validate()
+            assert_feasible(av)
 
     @pytest.mark.parametrize(
         "n,c,seed",
@@ -209,6 +213,50 @@ class TestPairSweep:
             assert block == full
         else:
             assert block[3] == 0.0
+        # one row per tile: ties between rows are settled across tiles
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svdd, "SWEEP_TILE", 1)
+            assert _pair_sweep(diag, points, alpha, grad, c) == block
+
+    @staticmethod
+    def spread(n, seed=0):
+        """Centered points with alpha = 1/N spread over all of them, C = 0.5:
+        nearly every pair can gain, so the block is about N x N."""
+        gen = np.random.default_rng(seed)
+        pts = gen.standard_normal((n, 5)) * gen.uniform(0.5, 2.0, 5)
+        pc = np.ascontiguousarray(pts - pts.mean(axis=0))
+        diag = np.einsum("ik,ik->i", pc, pc)
+        alpha = np.full(n, 1.0 / n)
+        return diag, pc, alpha, diag - 2.0 * pc @ (pc.T @ alpha), 0.5
+
+    @pytest.mark.parametrize("tile", [7, 1000, svdd.SWEEP_TILE])
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_row_tiles_match_full_sweep(self, n, tile, monkeypatch):
+        # tiles of one row, of a few rows and (the default) the whole block
+        monkeypatch.setattr(svdd, "SWEEP_TILE", tile)
+        instance = self.spread(n, seed=n)
+        full = pair_sweep_full(*instance)
+        assert full[3] > 0.0
+        assert _pair_sweep(*instance) == full
+
+    def test_tiles_give_the_one_block_result(self, monkeypatch):
+        instance = self.spread(1000)
+        tiled = _pair_sweep(*instance)
+        monkeypatch.setattr(svdd, "SWEEP_TILE", 2**40)
+        assert _pair_sweep(*instance) == tiled
+
+    def test_sweep_memory_is_bounded(self):
+        # one N x N float64 array at N = 2000 is 30.5 MB; scoring the whole
+        # block at once takes about 183 MB
+        instance = self.spread(2000)
+        tracemalloc.start()
+        try:
+            best = _pair_sweep(*instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best[3] > 0.0
+        assert peak <= 32 * 2**20
 
     def test_full_sweep_gives_bit_identical_fit(self, monkeypatch):
         gen = np.random.default_rng(400)
@@ -397,7 +445,7 @@ class TestColdStart:
         gram = _gram_block(points, points)
         diag = np.diag(gram).copy()
         start = svdd._cold_start(diag, c)
-        AlphaVector(alpha=start, C=c).validate(tol=1e-9)
+        assert_feasible(AlphaVector(alpha=start, C=c), tol=1e-9)
         tol = 1e-12 * max(1.0, float(diag.max()))
         alpha = solve_dual(points, c).alpha
         grad = diag - 2.0 * gram @ alpha
@@ -405,7 +453,7 @@ class TestColdStart:
         # from the uniform start every alpha can be free, so the solve can
         # take face steps; its result carries the same certificate
         uniform = solve_dual(points, c, alpha0=np.full(n, 1.0 / n)).alpha
-        AlphaVector(alpha=uniform, C=c).validate(tol=1e-9)
+        assert_feasible(AlphaVector(alpha=uniform, C=c), tol=1e-9)
         grad = diag - 2.0 * gram @ uniform
         assert pair_sweep_full(diag, points, uniform, grad, c)[3] <= tol
         gap = n * tol
@@ -515,7 +563,7 @@ class TestFaceStep:
         pts, c = np.array(case["points"]), case["C"]
         for start in (np.array(case["alpha0"]), None):
             alpha = solve_dual(pts, c, max_passes=100, alpha0=start).alpha
-            AlphaVector(alpha=alpha, C=c).validate(tol=1e-12)
+            assert_feasible(AlphaVector(alpha=alpha, C=c), tol=1e-12)
             gain, tol = certificate_gain(pts, alpha, c)
             assert gain <= tol
 
