@@ -17,7 +17,6 @@ from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
 from .pipeline import MethodSpec, fit_occ_model, parse_method
-from .subspace import HESSIAN_BETA_MODES
 
 log = logging.getLogger("subsvdd")
 
@@ -49,12 +48,6 @@ def _add_train_flags(p, with_out=True):
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=100, help="iteration cap k_max")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--hessian-beta-mode",
-        choices=("as-written", "consistent"),
-        default="as-written",
-    )
-    p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--zscore", action="store_true", help="z-score features (fit on training targets)")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--label-column", choices=("first", "last"), default="last")
@@ -82,8 +75,6 @@ def _fit_flags(args):
     }
     options = {
         "k_max": args.iters,
-        "hessian_beta_mode": args.hessian_beta_mode.replace("-", "_"),
-        "damping": args.damping,
         "zscore": args.zscore,
     }
     return method, params, options
@@ -143,8 +134,6 @@ CONFIG_KEYS = {
     "grid": ("grid", dict),
     "iters": ("k_max", int),
     "zscore": ("zscore", bool),
-    "hessian_beta_mode": ("hessian_beta_mode", HESSIAN_BETA_MODES),
-    "damping": ("damping", float),
 }
 # the values a numeric key may take, as (test, description)
 CONFIG_RANGES = {
@@ -152,7 +141,6 @@ CONFIG_RANGES = {
     "kfolds": (lambda v: v >= 2, "at least 2"),
     "train_frac": (lambda v: 0.0 < v < 1.0, "between 0 and 1"),
     "iters": (lambda v: v >= 1, "at least 1"),
-    "damping": (lambda v: v >= 0.0, "at least 0"),
 }
 # the keys of one "datasets" entry, load_csv's parameters, and their types
 DATASET_KEYS = {"path": str, "has_header": bool, "label_column": ("first", "last"), "name": str}

@@ -73,6 +73,16 @@ def derive_seed(base, *parts):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+# the values each grid list may hold, as (test, description)
+GRID_RANGES = {
+    "beta": (lambda v: v >= 0.0, "numbers of at least 0"),
+    "C": (lambda v: v > 0.0, "positive numbers"),
+    "sigma": (lambda v: v > 0.0, "positive numbers"),
+    "d": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "integers of at least 1"),
+    "eta": (lambda v: v > 0.0, "positive numbers"),
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Hyperparameter candidate lists; defaults are the standard search ranges."""
@@ -84,11 +94,14 @@ class GridSpec:
     eta: tuple = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
     def __post_init__(self):
-        for name in ("beta", "C", "sigma", "d", "eta"):
+        for name, (in_range, what) in GRID_RANGES.items():
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and values and all(
                     isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
                 raise ValueError(f"grid list {name!r} must be a non-empty list of numbers")
+            bad = [v for v in values if not in_range(v)]
+            if bad:
+                raise ValueError(f"grid list {name!r} must hold {what}, got {bad[0]!r}")
             object.__setattr__(self, name, tuple(values))
 
 

@@ -39,6 +39,10 @@ FORMAT_VERSION = 3
 
 DESCRIPTION_KEYS = ("alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices")
 
+# the config entries save writes and load requires; files written while the
+# Newton step had a Hessian mode and a damping may also hold "hessian_beta_mode"
+# and "damping": load accepts them, save leaves them out, and no code ever
+# read them to predict
 CONFIG_KEYS = (
     "method",
     "kernel",
@@ -51,8 +55,6 @@ CONFIG_KEYS = (
     "eta",
     "k_max",
     "seed",
-    "hessian_beta_mode",
-    "damping",
     "sigma",
     "zscore",
     "scaling",

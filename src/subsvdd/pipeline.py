@@ -153,8 +153,6 @@ def fit_occ_model(
     sigma=None,
     k_max=100,
     seed=42,
-    hessian_beta_mode="as_written",
-    damping=0.0,
     zscore=False,
     eval_data=None,
 ):
@@ -215,8 +213,6 @@ def fit_occ_model(
             optimizer=method.optimizer,
             k_max=k_max,
             seed=seed,
-            hessian_beta_mode=hessian_beta_mode,
-            damping=damping,
         )
     fit = train(work, cfg, eval_fn=eval_fn, q0=q0)
 
@@ -232,8 +228,6 @@ def fit_occ_model(
         "eta": float(eta),
         "k_max": int(k_max),
         "seed": int(seed),
-        "hessian_beta_mode": hessian_beta_mode,
-        "damping": float(damping),
         "sigma": None if sigma is None else float(sigma),
         "zscore": bool(zscore),
         "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()},

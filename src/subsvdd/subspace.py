@@ -18,33 +18,29 @@ N x N matrix, and it does not subtract two large terms when the data lie far
 from the origin. The lam lam' part uses X as it is.
 
 Under row-major vectorization the Hessian is block diagonal, H = I_d kron B,
-with B = 2 M M' and M = [M_s, sqrt(w) X lam] (``hessian_core``), of rank at
-most s + 1 for s support vectors. The weight w on lam lam' is configurable:
-``as_written`` uses w = 1 and ``consistent`` uses w = beta, which makes B the
-true second derivative. The gradient is Q B + 2 (beta - w)(Q X lam)(X lam)',
-so the damped Newton step, the gradient times (B + mu I)^+, needs no
-gradient. With B = U diag(b) U' over its kept eigenpairs it is
+with B = 2 M M' and M = [M_s, X lam] (``hessian_core``), of rank at most
+s + 1 for s support vectors. B weights lam lam' by 1, not by beta, as the
+paper writes the Hessian. The gradient is Q B + 2 (beta - 1)(Q X lam)(X lam)',
+so the Newton step, the gradient times B^+, needs no gradient. With
+B = U diag(b) U' over its kept eigenpairs it is
 
-    Q U diag(b / (b + mu)) U'
-        + 2 (beta - w) (Q X lam)(U diag(1 / (b + mu)) U' X lam)'.
+    Q U U' + 2 (beta - 1) (Q X lam)(U diag(1 / b) U' X lam)'.
 
-Nothing lies outside range(B) = range(M) for mu to divide: the rows of Q B
-lie in it, and so does X lam whenever w > 0 (when w = 0, beta - w = 0).
-``newton_step`` eigendecomposes the smaller Gram of M, the (s+1) x (s+1) M'M
-when s + 1 < D (U is then M V Lambda^{-1/2} and b = 2 Lambda) and MM'
-otherwise, so a fit with few support vectors in a large feature space (the
-rbf eigenmap) pays for its support, not for D.
+Nothing lies outside range(B) = range(M) for B^+ to drop: the rows of Q B
+lie in it, and so does X lam. ``newton_step`` eigendecomposes the smaller
+Gram of M, the (s+1) x (s+1) M'M when s + 1 < D (U is then
+M V Lambda^{-1/2} and b = 2 Lambda) and MM' otherwise, so a fit with few
+support vectors in a large feature space (the rbf eigenmap) pays for its
+support, not for D.
 
-Without damping the first term is Q projected onto range(B). A step
-proportional to Q does not move the subspace, so the Newton step moves it
-only when B is singular or the rank-one term is there (beta != w and
-lam != 0). With a full-rank core and mu = 0 the step is exactly Q for psi0,
-for beta = 1 in ``as_written`` mode and always in ``consistent`` mode: the
-update is (1 -+ eta) Q, which re-orthonormalization undoes. With a singular
-core and no rank-one term, ``min`` multiplies the part of each row of Q
-inside range(B), the span of the centered support vectors and X lam, by
-(1 - eta), so after the QR Q tilts toward null(B); ``max`` tilts it toward
-range(B).
+The first term is Q projected onto range(B). A step proportional to Q does
+not move the subspace, so the Newton step moves it only when B is singular
+or the rank-one term is there (beta != 1 and lam != 0). With a full-rank
+core the step is exactly Q for psi0 and for beta = 1: the update is
+(1 -+ eta) Q, which re-orthonormalization undoes. With a singular core and
+no rank-one term, ``min`` multiplies the part of each row of Q inside
+range(B), the span of the centered support vectors and X lam, by (1 - eta),
+so after the QR Q tilts toward null(B); ``max`` tilts it toward range(B).
 
 The dual in each subspace receives the projections themselves, Y' (N x d),
 and ``solve_dual`` centers them, which is exact because sum(a) = 1 and keeps
@@ -75,8 +71,7 @@ from .svdd import (
 REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
 DIRECTIONS = ("min", "max")
 OPTIMIZERS = ("gradient", "newton")
-HESSIAN_BETA_MODES = ("as_written", "consistent")
-# eigenvalues of B + mu I at or below this fraction of the largest are dropped
+# eigenvalues of B at or below this fraction of the largest are dropped
 EIG_REL_TOL = 1e-10
 MAX_REDRAWS = 3  # redraws of dependent rows of Q before a fit fails
 
@@ -94,8 +89,6 @@ class TrainConfig:
     optimizer: str = "newton"
     k_max: int = 100
     seed: int = 42
-    hessian_beta_mode: str = "as_written"
-    damping: float = 0.0
 
     def __post_init__(self):
         if self.d < 1:
@@ -112,10 +105,6 @@ class TrainConfig:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.hessian_beta_mode not in HESSIAN_BETA_MODES:
-            raise ValueError(f"hessian_beta_mode must be one of {HESSIAN_BETA_MODES}")
-        if self.damping < 0.0:
-            raise ValueError("damping must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -214,50 +203,40 @@ def gradient(q, block, beta):
     return 2.0 * (project(q_mat, m_s) @ m_s.T + beta * np.outer(q_mat @ xl, xl))
 
 
-def hessian_core(block, beta, mode="as_written"):
+def hessian_core(block):
     """Factor M of the D x D Hessian block B = 2 M M'; the Hessian is I_d kron B.
 
-    M = [M_s, sqrt(w) X lam] is D x (s+1) for s support vectors, so
-    B = 2 [X_c diag(a) X_c' + w (X lam)(X lam)'] (sum(a) = 1) has rank at most
-    s + 1. ``as_written`` weights lam lam' by w = 1; ``consistent`` by
-    w = beta, so that B is the true second derivative of the beta-weighted
-    objective.
+    M = [M_s, X lam] is D x (s+1) for s support vectors, so
+    B = 2 [X_c diag(a) X_c' + (X lam)(X lam)'] (sum(a) = 1) has rank at most
+    s + 1. It weights lam lam' by 1, as the paper writes the Hessian; the
+    true second derivative of the beta-weighted objective weights it by beta.
     """
-    if mode not in HESSIAN_BETA_MODES:
-        raise ValueError(f"mode must be one of {HESSIAN_BETA_MODES}")
-    weight = 1.0 if mode == "as_written" else beta
-    if weight < 0.0:
-        raise ValueError("beta must be >= 0")
     m_s, xl = block
-    return np.column_stack([m_s, np.sqrt(weight) * xl])
+    return np.column_stack([m_s, xl])
 
 
-def newton_step(q, block, beta, mode="as_written", mu=0.0):
-    """Newton step of Q: the gradient times (B + mu I)^+, in closed form.
+def newton_step(q, block, beta):
+    """Newton step of Q: the gradient times B^+, in closed form.
 
-    B = 2 M M' with M from ``hessian_core(block, beta, mode)``, and the
-    gradient is Q B + 2 (beta - w)(Q X lam)(X lam)' (w = 1 ``as_written``,
-    beta ``consistent``). Over the kept eigenpairs B = U diag(b) U' the step
-    is
+    B = 2 M M' with M from ``hessian_core(block)``, and the gradient is
+    Q B + 2 (beta - 1)(Q X lam)(X lam)'. Over the kept eigenpairs
+    B = U diag(b) U' the step is
 
-        Q U diag(b / (b + mu)) U'
-            + 2 (beta - w) (Q X lam)(U diag(1 / (b + mu)) U' X lam)',
+        Q U U' + 2 (beta - 1) (Q X lam)(U diag(1 / b) U' X lam)',
 
-    Q taken into range(B) (projected onto it when mu = 0) plus one rank-one
-    term, which is there only when beta != w. One eigendecomposition serves both: of the Gram M'M =
+    Q projected onto range(B) plus one rank-one term, which is there only
+    when beta != 1. One eigendecomposition serves both: of the Gram M'M =
     V Lambda V' when M has fewer columns than rows (U = M V Lambda^{-1/2},
-    b = 2 Lambda), otherwise of MM' itself. Eigenpairs with b + mu at or
-    below EIG_REL_TOL times the largest are dropped, so a zero core gives a
-    zero step. The result equals the minimum-norm solve of the full system
-    (H + mu I) vec(S) = vec(gradient), H = I_d kron B.
+    b = 2 Lambda), otherwise of MM' itself. Eigenpairs with b at or below
+    EIG_REL_TOL times the largest are dropped, so a zero core gives a zero
+    step. The result equals the minimum-norm solve of the full system
+    H vec(S) = vec(gradient), H = I_d kron B.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be >= 0")
-    m = hessian_core(block, beta, mode)
+    m = hessian_core(block)
     thin = m.shape[1] < m.shape[0]
     lam, vecs = sym_eig(m.T @ m if thin else m @ m.T)
     b = 2.0 * lam
-    keep = b + mu > EIG_REL_TOL * (b.max() + mu)
+    keep = b > EIG_REL_TOL * b.max()
     if thin:
         keep &= lam > 0.0
         u = m @ (vecs[:, keep] / np.sqrt(lam[keep]))
@@ -265,11 +244,10 @@ def newton_step(q, block, beta, mode="as_written", mu=0.0):
         u = vecs[:, keep]
     b = b[keep]
     q_mat = np.asarray(q, dtype=np.float64)
-    step = ((q_mat @ u) * (b / (b + mu))) @ u.T
-    w = 1.0 if mode == "as_written" else beta
-    if beta != w:
+    step = (q_mat @ u) @ u.T
+    if beta != 1.0:
         xl = block[1]
-        step += 2.0 * (beta - w) * np.outer(q_mat @ xl, u @ ((xl @ u) / (b + mu)))
+        step += 2.0 * (beta - 1.0) * np.outer(q_mat @ xl, u @ ((xl @ u) / b))
     return step
 
 
@@ -280,7 +258,7 @@ def update_step(q, block, cfg: TrainConfig):
     optimizer along ``gradient``: Q - eta * step for ``min``, + for ``max``.
     """
     if cfg.optimizer == "newton":
-        step = newton_step(q, block, cfg.beta, cfg.hessian_beta_mode, mu=cfg.damping)
+        step = newton_step(q, block, cfg.beta)
     else:
         step = gradient(q, block, cfg.beta)
     sign = -1.0 if cfg.direction == "min" else 1.0

@@ -16,21 +16,21 @@ class TooLarge(Exception):
     """Input exceeds the brute-force assembly's size cap."""
 
 
-def hessian_full(x, alpha_values, lam, beta, mode, d):
-    """Brute-force dD x dD Hessian via literal structure-matrix assembly.
+def hessian_full(x, alpha_values, lam, d):
+    """Brute-force dD x dD Hessian of the Newton step via literal
+    structure-matrix assembly.
 
     Entry ((i,j),(k,l)) is 2 tr[X M X' (S^ij)' S^kl] with S^ij the single-entry
-    d x D matrix and M = diag(a) - aa' + w lam lam' (w = 1 as written, beta
-    when consistent). Refuses d*D > HESSIAN_FULL_CAP.
+    d x D matrix and M = diag(a) - aa' + lam lam', the lam lam' term weighted
+    by 1 as the paper writes it. Refuses d*D > HESSIAN_FULL_CAP.
     """
     x_mat = np.asarray(x, dtype=np.float64)
     big_d = x_mat.shape[0]
     if d * big_d > HESSIAN_FULL_CAP:
         raise TooLarge(f"d*D = {d * big_d} exceeds cap {HESSIAN_FULL_CAP}")
-    weight = 1.0 if mode == "as_written" else beta
     a = np.asarray(alpha_values, dtype=np.float64)
     lam_v = np.asarray(lam, dtype=np.float64)
-    core = np.diag(a) - np.outer(a, a) + weight * np.outer(lam_v, lam_v)
+    core = np.diag(a) - np.outer(a, a) + np.outer(lam_v, lam_v)
     g_mat = x_mat @ core @ x_mat.T
     g_mat = 0.5 * (g_mat + g_mat.T)  # X M X' is symmetric; enforce it exactly
     n_flat = d * big_d

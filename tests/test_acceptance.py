@@ -15,7 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, make_blobs
 from oracles import dual_objective, hessian_full
 from test_svdd import simplex_grid_max
-from test_subspace import core_matrix, fd_gradient, fd_hessian, random_instance
+from test_subspace import core_matrix, fd_gradient, fd_hessian, random_instance, true_curvature
 
 from subsvdd.data import DataSet, load_csv
 from subsvdd.evaluate import GridSpec, run_benchmark
@@ -78,17 +78,15 @@ def test_criterion_2_hessian_structure_and_curvature():
         q, x, alpha, lam = random_instance(
             seed=2000 + i, d=d, big_d=big_d, n=n, reg=("psi1", "psi2")[i % 2], beta=beta
         )
-        for mode in ("as_written", "consistent"):
-            b = core_matrix(x, alpha.alpha, lam, beta, mode)
-            full = hessian_full(x, alpha.alpha, lam, beta, mode, d=d)
-            dev = np.abs(np.kron(np.eye(d), b) - full).max()
-            worst_assembly = max(worst_assembly, dev)
-            assert dev <= 1e-12
-        # the true curvature of the beta-weighted objective is the
-        # consistent-mode block (the gradient always carries beta)
-        b = core_matrix(x, alpha.alpha, lam, beta, "consistent")
+        b = core_matrix(x, alpha.alpha, lam)
+        full = hessian_full(x, alpha.alpha, lam, d=d)
+        dev = np.abs(np.kron(np.eye(d), b) - full).max()
+        worst_assembly = max(worst_assembly, dev)
+        assert dev <= 1e-12
+        # the true curvature of the beta-weighted objective (the gradient
+        # always carries beta) is the core plus 2 (beta - 1)(X lam)(X lam)'
         fd = fd_hessian(q, x, alpha.alpha, lam, beta)
-        analytic = np.kron(np.eye(d), b)
+        analytic = np.kron(np.eye(d), true_curvature(x, alpha.alpha, lam, beta))
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst_fd = max(worst_fd, rel)
         assert rel <= 1e-4
@@ -105,21 +103,20 @@ def test_criterion_3_newton_degeneracy_identity():
     worst = 0.0
     for seed in range(10):
         q, x, alpha, lam = random_instance(
-            seed=3000 + seed, d=2, big_d=4, n=14, reg="psi2", beta=5.0, c=0.15
+            seed=3000 + seed, d=2, big_d=4, n=14, reg="psi2", beta=1.0, c=0.15
         )
         block = support_block(x, alpha.alpha, lam)
-        m = hessian_core(block, 5.0, "consistent")
+        m = hessian_core(block)
         assert np.linalg.matrix_rank(m) == m.shape[0]
         eta = 0.07
         for direction, scale in (("min", 1 - eta), ("max", 1 + eta)):
-            cfg = TrainConfig(d=2, C=0.15, beta=5.0, eta=eta, direction=direction,
-                              hessian_beta_mode="consistent")
+            cfg = TrainConfig(d=2, C=0.15, beta=1.0, eta=eta, direction=direction)
             raw = update_step(q, block, cfg)
             dev = np.abs(raw - scale * q).max()
             worst = max(worst, dev)
             assert dev <= 1e-8
     report(
-        f"ACCEPTANCE 3 PASS consistent-mode Newton update equals (1 -+ eta)Q "
+        f"ACCEPTANCE 3 PASS full-rank Newton update at beta = 1 equals (1 -+ eta)Q "
         f"(worst dev {worst:.1e})"
     )
 

@@ -111,14 +111,13 @@ class TestFitFlags:
             ["train", "--data", str(data), "--target-class", "target", "--out", str(out),
              "--method", "ssvdd", "--kernel", "rbf", "--sigma", "3.0", "--psi", "1",
              "--direction", "max", "--dim", "3", "--C", "0.3", "--beta", "10",
-             "--eta", "0.001", "--iters", "4", "--seed", "9", "--zscore",
-             "--damping", "0.1", "--hessian-beta-mode", "consistent"]
+             "--eta", "0.001", "--iters", "4", "--seed", "9", "--zscore"]
         )
         assert code == 0
         expected = {
             "method": "ssvdd", "kernel": "rbf", "psi": 1, "direction": "max", "d": 3,
             "C": 0.3, "beta": 10.0, "eta": 0.001, "sigma": 3.0, "k_max": 4, "seed": 9,
-            "zscore": True, "damping": 0.1, "hessian_beta_mode": "consistent",
+            "zscore": True,
         }
         cfg = model_store.load(out).config
         assert {k: cfg[k] for k in expected} == expected
@@ -131,12 +130,22 @@ class TestFitFlags:
                 "--splits", "2"]
         outs = {}
         for name, extra in [("plain", []), ("zscore", ["--zscore"]),
-                            ("damping", ["--damping", "10"]),
-                            ("mode", ["--hessian-beta-mode", "consistent"])]:
+                            ("iters", ["--iters", "2"])]:
             out = tmp_path / f"{name}.csv"
             assert main(base + extra + ["--out", str(out)]) == 0
             outs[name] = out.read_bytes()
         assert len(set(outs.values())) == len(outs)
+
+    @pytest.mark.parametrize("command, flag", [("train", ["--damping", "0.1"]),
+                                               ("trace", ["--hessian-beta-mode", "consistent"])])
+    def test_removed_newton_flags_exit_1(self, tmp_path, command, flag):
+        # the Newton step has one rule: no Hessian mode and no damping to set
+        data = write_blob_csv(tmp_path / "d.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data), "--target-class", "target",
+                  "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredictCommand:
@@ -269,17 +278,21 @@ class TestBenchmarkCommand:
             ({"grid": {"d": []}}, "grid"),
             ({"repetitions": "1"}, "repetitions"),
             ({"zscore": 1}, "zscore"),
-            ({"damping": "0.1"}, "damping"),
-            ({"hessian_beta_mode": "as-written"}, "hessian_beta_mode"),
+            ({"damping": 0.1}, "damping"),  # no longer a fit option
+            ({"hessian_beta_mode": "consistent"}, "hessian_beta_mode"),
             ({"methods": ["svdd-linear", "svdd-lineer"]}, "methods"),
             ({"datasets": [{"path": "d.csv", "label_colum": "first"}]}, "datasets"),
             ({"kfolds": 1}, "kfolds"),
             ({"iters": 0}, "iters"),
             ({"train_frac": 1.5}, "train_frac"),
             ({"repetitions": 0}, "repetitions"),
-            ({"damping": -1, "methods": ["svdd-linear"]}, "damping"),
+            ({"damping": 0.0}, "damping"),  # also at its old default
             ({"datasets": [{"path": "d.csv", "label_column": "middle"}]}, "label_column"),
             ({"datasets": [{"path": "d.csv", "has_header": "yes"}]}, "has_header"),
+            ({"grid": {"sigma": [0.0]}}, "sigma"),
+            ({"grid": {"d": [2.5]}}, "d"),
+            ({"grid": {"d": [0]}}, "d"),
+            ({"grid": {"eta": [-1]}}, "eta"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, caplog, change, key):
@@ -313,7 +326,7 @@ class TestBenchmarkCommand:
 
         monkeypatch.setattr(evaluate, "fit_occ_model", recorded)
         cfg = json.loads(self._config(tmp_path).read_text())
-        cfg.update(zscore=True, damping=0.1, hessian_beta_mode="consistent", repetitions=1)
+        cfg.update(zscore=True, repetitions=1)
         p = tmp_path / "options.json"
         p.write_text(json.dumps(cfg))
         code = main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv"),
@@ -322,9 +335,7 @@ class TestBenchmarkCommand:
         # 2 methods x 2 classes x 2 C values x 3 folds, plus 4 final fits
         assert len(configs) == 2 * 2 * 2 * 3 + 4
         for c in configs:
-            assert (c["k_max"], c["zscore"], c["damping"], c["hessian_beta_mode"]) == (
-                3, True, 0.1, "consistent"
-            )
+            assert (c["k_max"], c["zscore"]) == (3, True)
 
 
 class TestTraceCommand:

@@ -237,7 +237,7 @@ class TestTrace:
 
 
 # every fit option, each away from its default
-OPTIONS = {"k_max": 3, "zscore": True, "hessian_beta_mode": "consistent", "damping": 0.1}
+OPTIONS = {"k_max": 3, "zscore": True}
 
 
 @pytest.fixture

@@ -15,13 +15,14 @@ from subsvdd.errors import (
 )
 from subsvdd.kernel import rbf_kernel
 from subsvdd.metrics import confusion_from_labels, gmean
-from subsvdd.model_store import load, predict, save
+from subsvdd.model_store import CONFIG_KEYS, load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FORMAT1 = FIXTURES / "format1"
 FORMAT2 = FIXTURES / "format2"
+FORMAT3 = FIXTURES / "format3"
 LINEAR_KEYS = {"format_version", "config", "Q", "description"}
 RBF_KEYS = {"format_version", "config", "description", "npt"}
 DESCRIPTION_KEYS = {"alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices"}
@@ -379,6 +380,7 @@ def _assert_resaved_predicts_the_same(tmp_path, old_path, kind):
     payload = json.loads(path.read_text())
     assert payload["format_version"] == 3
     assert set(payload) == (RBF_KEYS if kind == "rbf" else LINEAR_KEYS)
+    assert tuple(payload["config"]) == CONFIG_KEYS
     probes = load_features_csv(FORMAT1 / "probes.csv")
     for before, after in zip(predict(old, probes), predict(load(path), probes)):
         assert before.tobytes() == after.tobytes()
@@ -416,6 +418,23 @@ class TestFormat2:
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_resaved_as_format3_predicts_the_same(self, tmp_path, kind):
         _assert_resaved_predicts_the_same(tmp_path, FORMAT2 / f"{kind}.json", kind)
+
+
+class TestFormat3:
+    """Format-3 files whose configs still hold "hessian_beta_mode" and
+    "damping", and their predictions, written by the code that had both
+    options (see fixtures/format3/README.md)."""
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_predictions_byte_identical(self, tmp_path, kind):
+        out = _predict_file(tmp_path, FORMAT3 / f"{kind}.json")
+        assert out.read_bytes() == (FORMAT3 / f"{kind}_predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_saved_again_without_the_two_keys(self, tmp_path, kind):
+        config = json.loads((FORMAT3 / f"{kind}.json").read_text())["config"]
+        assert {"hessian_beta_mode", "damping"} <= set(config)
+        _assert_resaved_predicts_the_same(tmp_path, FORMAT3 / f"{kind}.json", kind)
 
 
 class TestPredict:

@@ -35,10 +35,17 @@ def random_instance(seed, d=2, big_d=4, n=6, reg="psi2", beta=1.0, c=None):
     return q, x, alpha, lam
 
 
-def core_matrix(x, alpha, lam, beta, mode):
+def core_matrix(x, alpha, lam):
     """The Hessian block B = 2 M M' from the factor M that hessian_core returns."""
-    m = hessian_core(support_block(x, alpha, lam), beta, mode)
+    m = hessian_core(support_block(x, alpha, lam))
     return 2.0 * m @ m.T
+
+
+def true_curvature(x, alpha, lam, beta):
+    """The second derivative of the beta-weighted objective per row of Q:
+    B + 2 (beta - 1)(X lam)(X lam)', the core with lam lam' weighted by beta."""
+    xl = x @ lam
+    return core_matrix(x, alpha, lam) + 2.0 * (beta - 1.0) * np.outer(xl, xl)
 
 
 def objective_by_summation(q, x, alpha, lam, beta):
@@ -173,47 +180,41 @@ class TestGradient:
 class TestHessian:
     def test_d1_full_equals_core(self):
         q, x, alpha, lam = random_instance(3, d=1, big_d=2, n=2)
-        b = core_matrix(x, alpha.alpha, lam, 1.0, "as_written")
-        full = hessian_full(x, alpha.alpha, lam, 1.0, "as_written", d=1)
+        b = core_matrix(x, alpha.alpha, lam)
+        full = hessian_full(x, alpha.alpha, lam, d=1)
         np.testing.assert_allclose(full, b, atol=1e-12)
 
-    def test_modes_agree_when_lambda_zero(self):
-        q, x, alpha, lam = random_instance(4, reg="psi0", beta=3.0)
-        b1 = core_matrix(x, alpha.alpha, lam, 3.0, "as_written")
-        b2 = core_matrix(x, alpha.alpha, lam, 3.0, "consistent")
-        np.testing.assert_allclose(b1, b2)
-
-    @pytest.mark.parametrize("mode", ["as_written", "consistent"])
-    def test_kron_structure_matches_full_assembly(self, mode):
+    def test_kron_structure_matches_full_assembly(self):
         for seed in range(4):
             d = 2 + seed % 2
             q, x, alpha, lam = random_instance(seed, d=d, big_d=5, n=7, beta=2.5)
-            b = core_matrix(x, alpha.alpha, lam, 2.5, mode)
-            full = hessian_full(x, alpha.alpha, lam, 2.5, mode, d=d)
+            b = core_matrix(x, alpha.alpha, lam)
+            full = hessian_full(x, alpha.alpha, lam, d=d)
             np.testing.assert_allclose(np.kron(np.eye(d), b), full, atol=1e-12)
 
     def test_full_is_symmetric(self):
         q, x, alpha, lam = random_instance(11, d=2, big_d=4, n=6)
-        full = hessian_full(x, alpha.alpha, lam, 1.0, "as_written", d=2)
+        full = hessian_full(x, alpha.alpha, lam, d=2)
         assert np.abs(full - full.T).max() < 1e-12
 
     def test_zero_data_gives_zero(self):
         a = np.array([0.5, 0.5])
-        full = hessian_full(np.zeros((3, 2)), a, a, 1.0, "as_written", d=2)
+        full = hessian_full(np.zeros((3, 2)), a, a, d=2)
         np.testing.assert_allclose(full, 0.0)
 
     def test_consistent_mode_matches_fd_of_gradient(self):
+        # the beta-consistent Hessian, the step's core plus the rank-one
+        # 2 (beta - 1) term, is the true curvature that the step relies on
         for seed, beta in [(0, 0.1), (1, 1.0), (2, 10.0)]:
             q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=6, beta=beta)
-            b = core_matrix(x, alpha.alpha, lam, beta, "consistent")
-            analytic = np.kron(np.eye(2), b)
+            analytic = np.kron(np.eye(2), true_curvature(x, alpha.alpha, lam, beta))
             fd = fd_hessian(q, x, alpha.alpha, lam, beta)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(analytic - fd) / denom <= 1e-4
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):
-            hessian_full(np.zeros((600, 2)), np.ones(2), np.ones(2), 1.0, "as_written", d=5)
+            hessian_full(np.zeros((600, 2)), np.ones(2), np.ones(2), d=5)
 
 
 class TestUpdateStep:
@@ -224,16 +225,17 @@ class TestUpdateStep:
         np.testing.assert_allclose(np.abs(new), np.abs(q), atol=1e-10)
 
     def test_newton_consistent_collapses_to_scaled_q(self):
-        # with the beta-consistent Hessian and full-rank B the Newton step is
-        # exactly Q, so the raw update is (1 -+ eta) Q; C small enough to
-        # spread alpha over > D support vectors keeps B full rank
+        # at beta = 1 the step's Hessian is the beta-consistent one, and with
+        # a full-rank B the Newton step is exactly Q, so the raw update is
+        # (1 -+ eta) Q; C small enough to spread alpha over > D support
+        # vectors keeps B full rank
         for seed in range(10):
-            q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=12, beta=7.0, c=0.15)
+            q, x, alpha, lam = random_instance(seed, d=2, big_d=4, n=12, beta=1.0, c=0.15)
             block = support_block(x, alpha.alpha, lam)
-            m = hessian_core(block, 7.0, "consistent")
+            m = hessian_core(block)
             assert np.linalg.matrix_rank(m) == 4
             eta = 0.05
-            cfg = TrainConfig(d=2, C=0.15, beta=7.0, eta=eta, hessian_beta_mode="consistent")
+            cfg = TrainConfig(d=2, C=0.15, beta=1.0, eta=eta)
             raw_min = update_step(q, block, cfg)
             raw_max = update_step(q, block, dataclasses.replace(cfg, direction="max"))
             assert np.abs(raw_min - (1 - eta) * q).max() <= 1e-8
@@ -252,8 +254,7 @@ class TestUpdateStep:
         ("psi3", 0.3, 8, 20, 0.5),
     ]
 
-    @pytest.mark.parametrize("mode", ["as_written", "consistent"])
-    def test_rowwise_step_equals_full_vectorized_solve(self, mode, monkeypatch):
+    def test_rowwise_step_equals_full_vectorized_solve(self, monkeypatch):
         from subsvdd import subspace
 
         orders = []
@@ -264,46 +265,42 @@ class TestUpdateStep:
 
         monkeypatch.setattr(subspace, "sym_eig", sym_eig)
         thin = set()
-        for (reg, c, big_d, n, beta), mu, seed in itertools.product(
-            self.STEP_CASES, (0.0, 0.1), range(3)
-        ):
+        for (reg, c, big_d, n, beta), seed in itertools.product(self.STEP_CASES, range(3)):
             q, x, alpha, lam = random_instance(seed, d=2, big_d=big_d, n=n, reg=reg,
                                                beta=beta, c=c)
             block = support_block(x, alpha.alpha, lam)
-            m = hessian_core(block, beta, mode)
+            m = hessian_core(block)
             s = np.count_nonzero(alpha.alpha)
             assert m.shape == (big_d, s + 1)
             thin.add(s + 1 < big_d)
             if reg == "psi0" and c == 0.3:
                 assert np.linalg.matrix_rank(m) < big_d
             orders.clear()
-            rowwise = newton_step(q, block, beta, mode, mu=mu)
+            rowwise = newton_step(q, block, beta)
             # one eigendecomposition, of the smaller Gram of M: M'M when s + 1 < D
             assert orders == [min(s + 1, big_d)]
-            h_full = hessian_full(x, alpha.alpha, lam, beta, mode, d=2)
+            h_full = hessian_full(x, alpha.alpha, lam, d=2)
             g = gradient(q, block, beta)
-            vec_step = solve_damped(h_full, g.reshape(-1), mu=mu)
+            vec_step = solve_damped(h_full, g.reshape(-1))
             assert np.abs(rowwise.reshape(-1) - vec_step).max() <= 1e-9 * np.abs(vec_step).max()
         assert thin == {True, False}
 
-    @pytest.mark.parametrize("mode, weight", [("as_written", None), ("consistent", "beta")])
-    def test_newton_step_closed_form(self, mode, weight):
-        # without damping, newton_step is Q B B^+ + 2 (beta - w)(Q X lam)(B^+ X lam)';
-        # with a full-rank core that is exactly Q for psi0, for beta = 1 and
-        # in consistent mode
+    def test_newton_step_closed_form(self):
+        # newton_step is Q B B^+ + 2 (beta - 1)(Q X lam)(B^+ X lam)'; with a
+        # full-rank core that is exactly Q for psi0 and for beta = 1
         for (reg, c, big_d, n, beta), seed in itertools.product(self.STEP_CASES, range(3)):
             q, x, alpha, lam = random_instance(seed, d=2, big_d=big_d, n=n, reg=reg,
                                                beta=beta, c=c)
-            w = beta if weight == "beta" else 1.0
             block = support_block(x, alpha.alpha, lam)
-            m = hessian_core(block, beta, mode)
+            m = hessian_core(block)
             u, inv = damped_pinv_factor(2.0 * m @ m.T)
             b_pinv = (u * inv) @ u.T
             xl = block[1]
-            closed = q @ (2.0 * m @ m.T) @ b_pinv + 2.0 * (beta - w) * np.outer(q @ xl, b_pinv @ xl)
-            step = newton_step(q, block, beta, mode)
+            closed = (q @ (2.0 * m @ m.T) @ b_pinv
+                      + 2.0 * (beta - 1.0) * np.outer(q @ xl, b_pinv @ xl))
+            step = newton_step(q, block, beta)
             assert np.abs(step - closed).max() <= 1e-9 * np.abs(closed).max()
-            if np.linalg.matrix_rank(m) == big_d and (reg == "psi0" or beta == w):
+            if np.linalg.matrix_rank(m) == big_d and (reg == "psi0" or beta == 1.0):
                 assert np.abs(step - q).max() <= 1e-9
 
     def test_rank_recovery_redraws_dependent_rows(self):
@@ -325,8 +322,8 @@ class TestUpdateStep:
     def test_newton_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
         block = support_block(x, alpha.alpha, lam)
-        cfg = TrainConfig(d=2, C=0.4, eta=0.05, direction="max", damping=0.1, k_max=2)
-        by_hand = q + 0.05 * newton_step(q, block, 1.0, "as_written", mu=0.1)
+        cfg = TrainConfig(d=2, C=0.4, beta=2.0, eta=0.05, direction="max", k_max=2)
+        by_hand = q + 0.05 * newton_step(q, block, 2.0)
         np.testing.assert_allclose(update_step(q, block, cfg), by_hand, atol=1e-12)
 
 
@@ -366,12 +363,11 @@ class TestTrain:
         # identical samples: the centered support columns and X lam (psi0)
         # are zero, so the core M is zero and so is the Newton step
         x = np.tile([[1.0], [2.0]], (1, 4))
-        for mu in (0.0, 0.1):
-            cfg = TrainConfig(d=1, C=0.5, reg_kind="psi0", k_max=3, damping=mu)
-            fit = train(x, cfg)
-            expected_q = init_projection(1, 2, np.random.default_rng(cfg.seed))
-            np.testing.assert_allclose(fit.q, expected_q, rtol=0, atol=1e-15)
-            assert fit.description.radius_sq == 0.0
+        cfg = TrainConfig(d=1, C=0.5, reg_kind="psi0", k_max=3)
+        fit = train(x, cfg)
+        expected_q = init_projection(1, 2, np.random.default_rng(cfg.seed))
+        np.testing.assert_allclose(fit.q, expected_q, rtol=0, atol=1e-15)
+        assert fit.description.radius_sq == 0.0
 
     def test_each_iterate_is_described_once(self, monkeypatch):
         from subsvdd import subspace
