@@ -379,6 +379,8 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
     (split_index, iteration, objective, gmean) for each split, followed by
     the across-split average series with split_index 'avg'.
     """
+    if splits < 1:
+        raise ValueError(f"splits must be at least 1, got {splits}")
     per_split = []
     for rep in range(splits):
         split_seed = derive_seed(seed, ds.name, target, rep)

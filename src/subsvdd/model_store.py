@@ -1,20 +1,18 @@
 """Serialization of trained models and the standalone prediction path.
 
-Models are stored as JSON (format_version 3) with matrices as nested
+Models are stored as JSON (format_version 4) with matrices as nested
 row-major lists. Python's float repr round-trips IEEE doubles exactly, so a
 save/load cycle reproduces predictions bit for bit. A file holds what
 prediction reads, the config and scaling, the map W, the center and radius,
-plus alpha and the support-vector indices, which are validated but not used
-to decide.
+plus alpha, and no value that ``load`` can recompute from these.
 
 Every model predicts the same way: the input features (z-scored raw inputs,
 and for rbf models their centered kernel vectors against the training set)
 are multiplied by W and thresholded at the radius. A linear model's W is Q.
 An rbf model's W is the d x N product Q A_r^{-1/2} U_r' of the subspace and
-the kernel eigenmap, so its file holds W, the row means of the training
-kernel, sigma and the training inputs, and no U_r, eigenvalues or Q. Format 1
-and 2 files still load; their rbf readers compose W from Q, U_r and the
-eigenvalues as a fit does.
+the kernel eigenmap, so its file holds W, sigma and the training inputs, and
+no U_r, eigenvalues, Q or kernel row means. Format 1 to 3 files still load
+(see ``load``).
 """
 from __future__ import annotations
 
@@ -33,11 +31,11 @@ from .errors import (
     VersionError,
 )
 from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspace_map
-from .svdd import AlphaVector, DataDescription, decide_batch
+from .svdd import AlphaVector, DataDescription, decide_batch, support_sets
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-DESCRIPTION_KEYS = ("alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices")
+DESCRIPTION_KEYS = ("alpha", "center", "radius_sq")
 
 # the config entries save writes and load requires; files written while the
 # Newton step had a Hessian mode and a damping may also hold "hessian_beta_mode"
@@ -79,17 +77,13 @@ class TrainedModel:
     y_train: np.ndarray | None = field(repr=False, default=None)  # d x N; None once loaded
 
 
-def _check_model(model: TrainedModel):
+def _check_model(model: TrainedModel, k=None):
+    """Raise unless the invariants hold; ``k`` is the rbf training kernel, if built."""
     cfg = _fields(model.config, "config", CONFIG_KEYS)
     npt, w = model.npt, model.w
     if (cfg["kernel"] == "rbf") != (npt is not None):
         raise InvariantViolation("kernel == 'rbf' must coincide with an npt block")
     desc = model.description
-    n = desc.alpha.alpha.shape[0]
-    for name in ("sv_indices", "boundary_sv_indices"):
-        idx = getattr(desc, name)
-        if idx.size and not (idx.min() >= 0 and idx.max() < n):
-            raise InvariantViolation(f"{name} point outside the {n} training points")
     if desc.center.shape[0] != w.shape[0]:
         raise InvariantViolation("center dimension does not match the rows of W")
     if not desc.radius_sq >= 0.0:
@@ -99,11 +93,9 @@ def _check_model(model: TrainedModel):
         if not dev <= 1e-8:  # false for NaN too
             raise InvariantViolation(f"Q rows not orthonormal (deviation {dev:.3e})")
     else:
-        if not (npt.train_x.shape[1] == npt.k_row_mean.shape[0] == w.shape[1] == n):
-            raise InvariantViolation("npt block does not match the alpha length")
-        if not npt.sigma > 0.0:
-            raise InvariantViolation("sigma must be positive")
-        _check_kernel_map(w, npt)
+        if k is None:
+            k = _training_kernel(w, npt.sigma, npt.train_x, desc.alpha.alpha.shape[0])
+        _check_kernel_map(w, k)
     if cfg["scaling"] is not None:
         scaling = _fields(cfg["scaling"], "scaling", ("mean", "std"))
         mean, std = (_array(scaling[key], key, 1) for key in ("mean", "std"))
@@ -112,12 +104,19 @@ def _check_model(model: TrainedModel):
             raise SchemaError(f"scaling must hold a mean and a positive std of {dim} features")
 
 
-def _check_kernel_map(w, npt: KernelMap):
-    """W K_hat W' = I, the rbf form of QQ' = I, with K_hat the centered kernel
-    of the stored training inputs; the stored row means must be its own."""
-    k = rbf_kernel(npt.train_x, npt.sigma)
-    if not np.abs(k.mean(axis=1) - npt.k_row_mean).max() <= 1e-12:
-        raise InvariantViolation("K_row_mean is not the row mean of the training kernel")
+def _training_kernel(w, sigma, train_x, n):
+    """The rbf kernel of the training inputs, once W's columns, the inputs
+    and the ``n`` alphas agree in number and sigma is positive."""
+    if not train_x.shape[1] == w.shape[1] == n:
+        raise InvariantViolation("npt block does not match the alpha length")
+    if not sigma > 0.0:
+        raise InvariantViolation("sigma must be positive")
+    return rbf_kernel(train_x, sigma)
+
+
+def _check_kernel_map(w, k):
+    """W K_hat W' = I, the rbf form of QQ' = I, with K_hat the centered
+    training kernel ``k``."""
     k_hat = center_kernel(k)
     n = k.shape[0]
     row_norm = np.sqrt((w * w).sum(axis=1))
@@ -138,7 +137,7 @@ def _input_dim(model: TrainedModel):
 
 
 def save(model: TrainedModel, path):
-    """Write the model as a format_version 3 JSON document."""
+    """Write the model as a format_version 4 JSON document."""
     _check_model(model)
     desc = model.description
     payload = {
@@ -151,13 +150,10 @@ def save(model: TrainedModel, path):
         "alpha": desc.alpha.alpha.tolist(),
         "center": desc.center.tolist(),
         "radius_sq": desc.radius_sq,
-        "sv_indices": desc.sv_indices.tolist(),
-        "boundary_sv_indices": desc.boundary_sv_indices.tolist(),
     }
     if model.npt is not None:
         payload["npt"] = {
             "W": model.w.tolist(),
-            "K_row_mean": model.npt.k_row_mean.tolist(),
             "sigma": model.npt.sigma,
             "train_X": model.npt.train_x.tolist(),
         }
@@ -189,17 +185,6 @@ def _array(obj, key, ndim):
     return a
 
 
-def _indices(obj, key):
-    """A JSON list of integers."""
-    try:
-        idx = np.asarray(obj)
-    except ValueError:
-        idx = None
-    if idx is None or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise SchemaError(f"field {key!r} must be a list of integers")
-    return idx.astype(np.int64)
-
-
 def _old_rbf_map(payload, n_raw):
     """W composed from a format 1 or 2 file's Q, U_r and eigenvalues, as a fit
     composes it."""
@@ -217,9 +202,12 @@ def _old_rbf_map(payload, n_raw):
 def load(path) -> TrainedModel:
     """Read and validate a model file; invariants are re-checked.
 
-    A format 1 or 2 rbf model's W is composed from its ``Q``, ``npt.U_r`` and
-    ``npt.eigvals_r``. A format 1 file's ``Y_train`` and ``npt.Phi`` are
-    ignored, and of its ``npt.K_train`` only the row means are kept.
+    The support-vector index sets come from alpha and C (``support_sets``).
+    An rbf model's training kernel is built once: its row means centre new
+    kernel vectors, and it gives the W K_hat W' = I check. A format 1 or 2
+    rbf model's W is composed from its ``Q``, ``npt.U_r`` and
+    ``npt.eigvals_r``. Older files' index lists, ``npt.K_row_mean`` and
+    format 1's ``Y_train``, ``npt.Phi`` and ``npt.K_train`` are ignored.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -229,38 +217,30 @@ def load(path) -> TrainedModel:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _fields(payload, f"{path}: top level", ())
     version = payload.get("format_version")
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in (1, 2, 3, FORMAT_VERSION):
         raise VersionError(f"unknown format_version {version!r}")
     _fields(payload, "model file", ("config", "description"))
     cfg = _fields(payload["config"], "config", CONFIG_KEYS)
     d_raw = _fields(payload["description"], "description", DESCRIPTION_KEYS)
-    desc = DataDescription(
-        alpha=AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(_array(cfg["C"], "C", 0))),
-        center=_array(d_raw["center"], "center", 1),
-        radius_sq=float(_array(d_raw["radius_sq"], "radius_sq", 0)),
-        sv_indices=_indices(d_raw["sv_indices"], "sv_indices"),
-        boundary_sv_indices=_indices(d_raw["boundary_sv_indices"], "boundary_sv_indices"),
-    )
-    npt = None
+    alpha = AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(_array(cfg["C"], "C", 0)))
+    desc = DataDescription(alpha, _array(d_raw["center"], "center", 1),
+                           float(_array(d_raw["radius_sq"], "radius_sq", 0)),
+                           *support_sets(alpha))
+    npt = k = None
     if "npt" in payload:
         n_raw = _fields(payload["npt"], "npt block", ("sigma", "train_X"))
-        if version == FORMAT_VERSION:
+        if version >= 3:
             w = _array(_fields(n_raw, "npt block", ("W",))["W"], "W", 2)
         else:
             w = _old_rbf_map(payload, _fields(n_raw, "npt block", ("U_r", "eigvals_r")))
-        if version == 1:  # format 1 held the whole N x N training kernel
-            k_row_mean = _array(n_raw.get("K_train"), "K_train", 2).mean(axis=1)
-        else:
-            k_row_mean = _array(n_raw.get("K_row_mean"), "K_row_mean", 1)
-        npt = KernelMap(
-            k_row_mean=k_row_mean,
-            sigma=float(_array(n_raw["sigma"], "sigma", 0)),
-            train_x=_array(n_raw["train_X"], "train_X", 2),
-        )
+        sigma = float(_array(n_raw["sigma"], "sigma", 0))
+        train_x = _array(n_raw["train_X"], "train_X", 2)
+        k = _training_kernel(w, sigma, train_x, alpha.alpha.shape[0])
+        npt = KernelMap(k_row_mean=k.mean(axis=1), sigma=sigma, train_x=train_x)
     else:
         w = _array(_fields(payload, "model file", ("Q",))["Q"], "Q", 2)
     model = TrainedModel(config=cfg, w=w, description=desc, npt=npt)
-    _check_model(model)
+    _check_model(model, k)
     return model
 
 

@@ -139,6 +139,8 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
         if sigma is None:
             raise ValueError("rbf methods need sigma")
         sigma = float(sigma)
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
     return PreparedFeatures(x_mat, kernel, sigma, bool(zscore))
 
 
@@ -171,6 +173,8 @@ def fit_occ_model(
         prepared.check(method.kernel, sigma, zscore)
     else:
         prepared = prepare_features(features, method.kernel, sigma, zscore)
+    if not C > 0.0:
+        raise ValueError(f"C must be positive, got {C}")
     # before the O(N^3) kernel basis, which C < 1/N would waste
     check_feasible_c(C, prepared.n)
     scaling, npt = prepared.scaling, prepared.npt

@@ -60,12 +60,12 @@ import numpy as np
 from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
 from .numerics import qr_orthonormalize_rows, sym_eig
 from .svdd import (
-    SV_EPS_FACTOR,
     AlphaVector,
     DataDescription,
     check_feasible_c,
     describe,
     solve_dual,
+    support_sets,
 )
 
 REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
@@ -140,8 +140,7 @@ def build_lambda(kind, alpha: AlphaVector):
     """Per-sample weights of the regularizer ``kind`` for the given alpha.
 
     psi0 weighs nothing, psi1 every sample, psi2 each sample by a_i and psi3
-    only the boundary support vectors (SV_EPS_FACTOR * C < a_i < C minus
-    that), by a_i.
+    only the boundary support vectors of ``support_sets``, by a_i.
     """
     a = alpha.alpha
     if kind == "psi0":
@@ -150,8 +149,10 @@ def build_lambda(kind, alpha: AlphaVector):
         return np.ones_like(a)
     if kind == "psi2":
         return a.copy()
-    eps = SV_EPS_FACTOR * alpha.C
-    return np.where((a > eps) & (a < alpha.C - eps), a, 0.0)
+    _, boundary = support_sets(alpha)
+    lam = np.zeros_like(a)
+    lam[boundary] = a[boundary]
+    return lam
 
 
 def objective(y, alpha_values, lam, beta):

@@ -58,8 +58,7 @@ from .errors import (
     NotConverged,
 )
 
-# alpha_i counts as a support vector when alpha_i > SV_EPS_FACTOR * C, and as
-# a boundary support vector when additionally alpha_i < C - SV_EPS_FACTOR * C.
+# the margin, as a fraction of C, that ``support_sets`` keeps from 0 and C
 SV_EPS_FACTOR = 1e-6
 
 # in the face step, singular values of the free points (less their mean) at
@@ -85,6 +84,15 @@ class DataDescription:
     radius_sq: float
     sv_indices: np.ndarray = field(repr=False)
     boundary_sv_indices: np.ndarray = field(repr=False)
+
+
+def support_sets(alpha: AlphaVector):
+    """(sv, boundary): the indices of the support vectors, alpha_i >
+    SV_EPS_FACTOR * C, and of the boundary support vectors among them,
+    alpha_i < C - SV_EPS_FACTOR * C, in increasing order."""
+    a, eps = alpha.alpha, SV_EPS_FACTOR * alpha.C
+    sv = np.nonzero(a > eps)[0]
+    return sv, sv[a[sv] < alpha.C - eps]
 
 
 def check_feasible_c(C, n):
@@ -371,8 +379,10 @@ def describe(alpha: AlphaVector, y):
     """Build the hypersphere description from the dual solution.
 
     ``y`` holds the projected training data, one column per sample. The
-    squared radius is the mean squared distance of the boundary support
-    vectors to the center. When no boundary support vector exists, any R^2 in
+    support-vector index sets are ``support_sets(alpha)``, a function of
+    alpha and C alone, so a model file need not store them. The squared
+    radius is the mean squared distance of the boundary support vectors to
+    the center. When no boundary support vector exists, any R^2 in
     [max d_i over a_i < C, min d_j over a_j > 0] is primal-optimal; R^2 is the
     midpoint of that interval (LIBSVM's rule), with the lower end 0 when every
     a_i sits at C.
@@ -383,18 +393,16 @@ def describe(alpha: AlphaVector, y):
         raise DimensionMismatch(
             f"projected data {y_mat.shape} does not match alpha length {a.shape[0]}"
         )
-    eps = SV_EPS_FACTOR * alpha.C
-    sv = np.nonzero(a > eps)[0]
+    sv, boundary = support_sets(alpha)
     if sv.size == 0:
         raise NoSupportVectors("all alpha_i below the support-vector threshold")
-    below_c = a < alpha.C - eps
-    boundary = sv[below_c[sv]]
     center = y_mat @ a
     dist_sq = _dist_sq(y_mat, center)
     if boundary.size:
         radius_sq = float(dist_sq[boundary].mean())
     else:
-        lower = float(dist_sq[below_c].max()) if below_c.any() else 0.0
+        below_c = np.delete(dist_sq, sv)  # with no boundary SV, every SV is at C
+        lower = float(below_c.max()) if below_c.size else 0.0
         radius_sq = 0.5 * (lower + float(dist_sq[sv].min()))
     return DataDescription(
         alpha=alpha,

@@ -89,6 +89,23 @@ class TestTrainCommand:
         assert code == 3
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", ["--kernel", "rbf", "--sigma", "0"]),
+        ("train", ["--kernel", "rbf", "--sigma", "-1"]),
+        ("train", ["--C", "0"]),
+        ("trace", ["--splits", "0"]),
+    ], ids=["sigma-zero", "sigma-negative", "C-zero", "splits-zero"])
+    def test_out_of_range_flag_exits_1(self, tmp_path, caplog, command, flag):
+        # a value no fit can take is a usage error, not a numerical failure
+        data = write_blob_csv(tmp_path / "d.csv")
+        code = main([command, "--data", str(data), "--target-class", "target",
+                     "--out", str(tmp_path / "out"), *flag])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+        error = caplog.records[-1]
+        assert error.levelname == "ERROR"
+        assert error.getMessage().startswith(flag[-2].lstrip("-") + " must be")
+
     def test_unknown_class_exits_2(self, tmp_path):
         data = write_blob_csv(tmp_path / "d.csv")
         code = main(
@@ -207,7 +224,7 @@ class TestPredictCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "field, value", [("radius_sq", None), ("radius_sq", float("nan")), ("sv_indices", ["a"])]
+        "field, value", [("radius_sq", None), ("radius_sq", float("nan")), ("alpha", ["a"])]
     )
     def test_malformed_model_exits_2(self, tmp_path, field, value):
         data, model = self._model(tmp_path)

@@ -13,7 +13,6 @@ from subsvdd.errors import (
     SchemaError,
     VersionError,
 )
-from subsvdd.kernel import rbf_kernel
 from subsvdd.metrics import confusion_from_labels, gmean
 from subsvdd.model_store import CONFIG_KEYS, load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
@@ -25,7 +24,10 @@ FORMAT2 = FIXTURES / "format2"
 FORMAT3 = FIXTURES / "format3"
 LINEAR_KEYS = {"format_version", "config", "Q", "description"}
 RBF_KEYS = {"format_version", "config", "description", "npt"}
-DESCRIPTION_KEYS = {"alpha", "center", "radius_sq", "sv_indices", "boundary_sv_indices"}
+DESCRIPTION_KEYS = {"alpha", "center", "radius_sq"}
+# one method of each family and kernel
+FAMILY_KERNELS = ["svdd-linear", "svdd-rbf", "ssvdd-linear-psi1-max", "ssvdd-rbf-psi3-min",
+                  "nssvdd-linear-psi2-min", "nssvdd-rbf-psi3-max"]
 
 
 def linear_model(seed=0, zscore=False):
@@ -124,7 +126,7 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         assert set(payload) == LINEAR_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
 
     def test_rbf_model_has_npt_block(self, tmp_path):
         model = rbf_model()
@@ -133,8 +135,8 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         assert set(payload) == RBF_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
-        assert set(payload["npt"]) == {"W", "K_row_mean", "sigma", "train_X"}
-        assert payload["format_version"] == 3
+        assert set(payload["npt"]) == {"W", "sigma", "train_X"}
+        assert payload["format_version"] == 4
         assert np.array_equal(payload["npt"]["W"], model.w)
         assert model.w.shape == (3, 30) and model.w.flags["C_CONTIGUOUS"]
 
@@ -152,6 +154,25 @@ class TestRoundTrip:
         assert loaded.q is None
         for name in ("phi", "u_r", "eigvals_r"):
             assert not hasattr(loaded.npt, name)
+
+    @pytest.mark.parametrize("method", FAMILY_KERNELS)
+    def test_loaded_model_derives_the_support_sets(self, tmp_path, rng, method):
+        # the file stores alpha but no index set and no kernel row mean:
+        # load derives both, and predicts with the fitted model's bits
+        target, _ = make_blobs(seed=2, n_target=40)
+        model, _ = fit_occ_model(target, parse_method(method), C=0.2, d=2, sigma=2.0,
+                                 k_max=4, seed=5, zscore=True)
+        path = tmp_path / "m.json"
+        save(model, path)
+        loaded = load(path)
+        desc, got = model.description, loaded.description
+        assert got.alpha.alpha.tobytes() == desc.alpha.alpha.tobytes()
+        assert desc.boundary_sv_indices.size > 0
+        assert np.array_equal(got.sv_indices, desc.sv_indices)
+        assert np.array_equal(got.boundary_sv_indices, desc.boundary_sv_indices)
+        probes = rng.standard_normal((5, 50)) * 2.0
+        for before, after in zip(predict(model, probes), predict(loaded, probes)):
+            assert before.tobytes() == after.tobytes()
 
     def test_resave_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -238,22 +259,13 @@ def _swap_train_columns(payload):
         row[0], row[1] = row[1], row[0]
 
 
+def _shift_train_entry(payload):
+    payload["npt"]["train_X"][0][0] += 0.5
+
+
 def _drop_w_column(payload):
     for row in payload["npt"]["W"]:
         row.pop()
-
-
-def _consistent(edit):
-    """``edit``, then the kernel row means recomputed from the edited file, so
-    that only the W K_hat W' = I check can tell."""
-
-    def edited(payload):
-        edit(payload)
-        npt = payload["npt"]
-        k = rbf_kernel(np.asarray(npt["train_X"]), npt["sigma"])
-        npt["K_row_mean"] = k.mean(axis=1).tolist()
-
-    return edited
 
 
 class TestLoadRejectsMalformedFields:
@@ -276,11 +288,11 @@ class TestLoadRejectsMalformedFields:
         "edit",
         [
             _set("npt", "sigma", float("nan")),
-            _set("npt", "K_row_mean", 0, float("inf")),
+            _set("npt", "W", 0, 0, float("inf")),
             _set("npt", "train_X", 0, 0, float("nan")),
             _set("npt", "sigma", None),
         ],
-        ids=["sigma-nan", "K_row_mean-inf", "train_X-nan", "sigma-null"],
+        ids=["sigma-nan", "W-inf", "train_X-nan", "sigma-null"],
     )
     def test_non_finite_rbf_field(self, tmp_path, edit):
         with pytest.raises(SchemaError, match="finite"):
@@ -290,8 +302,8 @@ class TestLoadRejectsMalformedFields:
         "edit",
         [
             _set("description", "radius_sq", None),
-            _set("description", "sv_indices", ["a"]),
-            _set("description", "sv_indices", [0.5]),
+            _set("description", "alpha", ["a"]),
+            _set("description", "center", [[0.5]]),
             _set("config", "C", None),
             _set("config", "scaling", [1.0, 2.0]),
             _set("config", "scaling", {"mean": [0.0] * 5}),
@@ -299,7 +311,7 @@ class TestLoadRejectsMalformedFields:
             _set("config", "scaling", {"mean": [0.0] * 5, "std": [1.0] * 4 + [0.0]}),
         ],
         ids=[
-            "radius_sq-null", "sv_indices-str", "sv_indices-float", "C-null",
+            "radius_sq-null", "alpha-str", "center-nested", "C-null",
             "scaling-list", "scaling-no-std", "scaling-short", "scaling-zero-std",
         ],
     )
@@ -307,10 +319,12 @@ class TestLoadRejectsMalformedFields:
         with pytest.raises(SchemaError):
             load(_edited(tmp_path, linear_model(zscore=True), edit))
 
-    def test_index_outside_training_points(self, tmp_path):
-        edit = _set("description", "sv_indices", [0, 10_000])
-        with pytest.raises(InvariantViolation, match="sv_indices"):
-            load(_edited(tmp_path, linear_model(), edit))
+    def test_alpha_longer_than_the_training_points(self, tmp_path):
+        def edit(payload):
+            payload["description"]["alpha"].append(0.0)
+
+        with pytest.raises(InvariantViolation, match="npt block"):
+            load(_edited(tmp_path, rbf_model(), edit))
 
     @pytest.mark.parametrize(
         "edit, fixture",
@@ -327,27 +341,30 @@ class TestLoadRejectsMalformedFields:
         "edit",
         [
             _set("npt", "W", 0, 0, float("nan")),
-            _consistent(_scale_w_row),
-            _consistent(_set("npt", "sigma", 3.3)),
-            _consistent(_swap_train_columns),
+            _scale_w_row,
+            _set("npt", "sigma", 3.3),
+            _swap_train_columns,
             _drop_w_column,
-            _set("npt", "K_row_mean", 0, 0.5),
+            _shift_train_entry,
         ],
         ids=["W-nan", "W-row-scaled", "sigma-changed", "train_X-swapped", "W-short",
-             "K_row_mean-changed"],
+             "train_X-shifted"],
     )
     def test_corrupt_rbf_map(self, tmp_path, edit):
         with pytest.raises((SchemaError, InvariantViolation)):
             load(_edited(tmp_path, rbf_model(), edit))
 
     def test_corrupt_rbf_map_exits_2(self, tmp_path):
-        path = _edited(tmp_path, rbf_model(), _consistent(_scale_w_row))
+        path = _edited(tmp_path, rbf_model(), _scale_w_row)
         probes = tmp_path / "probes.csv"
         probes.write_text("0,0,0,0,0\n")
         assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
 
-    def test_kernel_row_means_of_wrong_length(self, tmp_path):
-        edit = _set("npt", "K_row_mean", [0.5])
+    def test_training_inputs_of_wrong_length(self, tmp_path):
+        def edit(payload):
+            for row in payload["npt"]["train_X"]:
+                row.pop()
+
         with pytest.raises(InvariantViolation, match="npt block"):
             load(_edited(tmp_path, rbf_model(), edit))
 
@@ -378,7 +395,7 @@ def _assert_resaved_predicts_the_same(tmp_path, old_path, kind):
     path = tmp_path / "m.json"
     save(old, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 3
+    assert payload["format_version"] == 4
     assert set(payload) == (RBF_KEYS if kind == "rbf" else LINEAR_KEYS)
     assert tuple(payload["config"]) == CONFIG_KEYS
     probes = load_features_csv(FORMAT1 / "probes.csv")
@@ -399,7 +416,7 @@ class TestFormat1:
         _assert_same_predictions(out, FORMAT1 / "rbf_predictions_format1_code.csv")
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_resaved_as_format3_predicts_the_same(self, tmp_path, kind):
+    def test_resaved_as_format4_predicts_the_same(self, tmp_path, kind):
         _assert_resaved_predicts_the_same(tmp_path, FORMAT1 / f"{kind}.json", kind)
 
 
@@ -416,7 +433,7 @@ class TestFormat2:
         _assert_same_predictions(out, FORMAT2 / "rbf_predictions.csv")
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_resaved_as_format3_predicts_the_same(self, tmp_path, kind):
+    def test_resaved_as_format4_predicts_the_same(self, tmp_path, kind):
         _assert_resaved_predicts_the_same(tmp_path, FORMAT2 / f"{kind}.json", kind)
 
 
@@ -435,6 +452,17 @@ class TestFormat3:
         config = json.loads((FORMAT3 / f"{kind}.json").read_text())["config"]
         assert {"hessian_beta_mode", "damping"} <= set(config)
         _assert_resaved_predicts_the_same(tmp_path, FORMAT3 / f"{kind}.json", kind)
+
+    def test_stored_row_means_and_index_sets_are_ignored(self, tmp_path):
+        # load recomputes both, so wrong stored values change nothing
+        def edit(payload):
+            payload["npt"]["K_row_mean"] = [0.5] * len(payload["npt"]["K_row_mean"])
+            payload["description"]["sv_indices"] = [0, 10_000]
+            payload["description"]["boundary_sv_indices"] = ["a"]
+
+        edited = _edited(tmp_path, FORMAT3 / "rbf.json", edit)
+        out = _predict_file(tmp_path, edited)
+        assert out.read_bytes() == (FORMAT3 / "rbf_predictions.csv").read_bytes()
 
 
 class TestPredict:
