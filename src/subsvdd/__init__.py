@@ -7,7 +7,8 @@ from .evaluate import GridSpec, grid_search, run_benchmark, trace_run
 from .kernel import NptBasis, build_npt, center_kernel, rbf_kernel
 from .metrics import ConfusionCounts, gmean
 from .model_store import TrainedModel, load, predict, save
-from .pipeline import MethodSpec, fit_occ_model, parse_method, prepare_features
+from .pipeline import fit_occ_model, prepare_features
+from .settings import MethodSpec, parse_method
 from .subspace import TrainConfig, train
 from .svdd import AlphaVector, DataDescription, decide_batch, describe, solve_dual
 

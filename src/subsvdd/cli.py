@@ -16,7 +16,8 @@ from . import evaluate, model_store
 from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
-from .pipeline import MethodSpec, fit_occ_model, parse_method
+from .pipeline import fit_occ_model
+from .settings import DIRECTIONS, FAMILIES, KERNELS, PSIS, MethodSpec, check_setting, parse_method
 
 log = logging.getLogger("subsvdd")
 
@@ -37,10 +38,10 @@ def _add_train_flags(p, with_out=True):
     p.add_argument("--target-class", required=True)
     if with_out:
         p.add_argument("--out", required=True, help="model output path (JSON)")
-    p.add_argument("--method", choices=("svdd", "ssvdd", "nssvdd"), default="nssvdd")
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
-    p.add_argument("--psi", type=int, choices=(0, 1, 2, 3), default=2)
-    p.add_argument("--direction", choices=("min", "max"), default="min")
+    p.add_argument("--method", choices=FAMILIES, default="nssvdd")
+    p.add_argument("--kernel", choices=KERNELS, default="linear")
+    p.add_argument("--psi", type=int, choices=PSIS, default=2)
+    p.add_argument("--direction", choices=DIRECTIONS, default="min")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=0.01)
     p.add_argument("--dim", type=int, default=2, help="subspace dimension d")
@@ -71,7 +72,7 @@ def _fit_flags(args):
         "d": args.dim,
         "beta": args.beta,
         "eta": args.eta,
-        "sigma": args.sigma if method.kernel == "rbf" else None,
+        "sigma": args.sigma,
     }
     options = {
         "k_max": args.iters,
@@ -140,7 +141,6 @@ CONFIG_RANGES = {
     "repetitions": (lambda v: v >= 1, "at least 1"),
     "kfolds": (lambda v: v >= 2, "at least 2"),
     "train_frac": (lambda v: 0.0 < v < 1.0, "between 0 and 1"),
-    "iters": (lambda v: v >= 1, "at least 1"),
 }
 # the keys of one "datasets" entry, load_csv's parameters, and their types
 DATASET_KEYS = {"path": str, "has_header": bool, "label_column": ("first", "last"), "name": str}
@@ -183,6 +183,11 @@ def read_benchmark_config(path):
             raise DataError(
                 f"benchmark config key {key!r} must be {CONFIG_RANGES[key][1]}, got {value!r}"
             )
+        if key == "iters":
+            try:
+                check_setting(keyword, value)
+            except ValueError as exc:
+                raise DataError(f"benchmark config key {key!r}: {exc}") from None
         settings[keyword] = value
     for spec in settings["datasets"]:
         if not (isinstance(spec, dict) and "path" in spec and set(spec) <= set(DATASET_KEYS)):

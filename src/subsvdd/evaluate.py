@@ -15,10 +15,9 @@ import csv
 import functools
 import hashlib
 import logging
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from .data import DataSet, OccSplit, kfold, make_occ_split
 from .errors import SubsvddError
 from .metrics import ConfusionCounts, confusion_from_labels, gmean
 from .model_store import predict
-from .pipeline import MethodSpec, fit_occ_model, parse_method, prepare_features
+from .pipeline import fit_occ_model, prepare_features
+from .settings import MethodSpec, check_setting, parse_method
 
 __all__ = [
     "ConfusionCounts",
@@ -73,19 +73,10 @@ def derive_seed(base, *parts):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-# the values each grid list may hold, as (test, description)
-GRID_RANGES = {
-    "beta": (lambda v: v >= 0.0, "numbers of at least 0"),
-    "C": (lambda v: v > 0.0, "positive numbers"),
-    "sigma": (lambda v: v > 0.0, "positive numbers"),
-    "d": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "integers of at least 1"),
-    "eta": (lambda v: v > 0.0, "positive numbers"),
-}
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter candidate lists; defaults are the standard search ranges."""
+    """Hyperparameter candidate lists; defaults are the standard search ranges.
+    Each entry of each list must lie in the range of its setting."""
 
     beta: tuple = (1e-2, 1e-1, 1.0, 1e1, 1e2)
     C: tuple = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -94,14 +85,15 @@ class GridSpec:
     eta: tuple = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
     def __post_init__(self):
-        for name, (in_range, what) in GRID_RANGES.items():
+        for name in (f.name for f in fields(self)):
             values = getattr(self, name)
-            if not (isinstance(values, (list, tuple)) and values and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
-                raise ValueError(f"grid list {name!r} must be a non-empty list of numbers")
-            bad = [v for v in values if not in_range(v)]
-            if bad:
-                raise ValueError(f"grid list {name!r} must hold {what}, got {bad[0]!r}")
+            if not (isinstance(values, (list, tuple)) and values):
+                raise ValueError(f"grid list {name!r} must be a non-empty list")
+            for value in values:
+                try:
+                    check_setting(name, value)
+                except ValueError as exc:
+                    raise ValueError(f"grid list {name!r}: {exc}") from None
             object.__setattr__(self, name, tuple(values))
 
 

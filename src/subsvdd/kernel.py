@@ -53,7 +53,7 @@ def _pairwise_sq_dists(x, z):
 
 def rbf_kernel_cross(x_train, x_new, sigma):
     """N x M kernel block of columns x_i and z_j, exp(-||x_i - z_j||^2 / (2 sigma^2))."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:  # false for NaN too
         raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
     a = np.asarray(x_train, dtype=np.float64)
     b = np.asarray(x_new, dtype=np.float64)

@@ -31,7 +31,8 @@ from .errors import (
     VersionError,
 )
 from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspace_map
-from .svdd import AlphaVector, DataDescription, decide_batch, support_sets
+from .settings import RANGES, MethodSpec, check_setting
+from .svdd import FEASIBILITY_SLACK, AlphaVector, DataDescription, decide_batch, support_sets
 
 FORMAT_VERSION = 4
 
@@ -77,17 +78,48 @@ class TrainedModel:
     y_train: np.ndarray | None = field(repr=False, default=None)  # d x N; None once loaded
 
 
+def _check_config(cfg):
+    """``cfg`` itself, once it is a config a fit writes: its method parts form
+    a method, each setting lies in its range, the optimizer is the family's
+    and ``zscore`` is set exactly when a scaling is stored."""
+    cfg = _fields(cfg, "config", CONFIG_KEYS)
+    try:
+        method = MethodSpec(cfg["method"], cfg["kernel"], cfg["psi"], cfg["direction"])
+        for name in RANGES:
+            # a linear fit records no sigma; earlier ones recorded the one given
+            if not (name == "sigma" and method.kernel == "linear" and cfg[name] is None):
+                check_setting(name, cfg[name])
+    except ValueError as exc:
+        raise SchemaError(f"config: {exc}") from None
+    if cfg["optimizer"] != method.optimizer:
+        raise SchemaError(f"config: a {method.family} model's optimizer is "
+                          f"{method.optimizer!r}, not {cfg['optimizer']!r}")
+    if cfg["zscore"] is not (cfg["scaling"] is not None):
+        raise SchemaError("config: zscore must be true with a scaling and false without")
+    return cfg
+
+
 def _check_model(model: TrainedModel, k=None):
-    """Raise unless the invariants hold; ``k`` is the rbf training kernel, if built."""
-    cfg = _fields(model.config, "config", CONFIG_KEYS)
-    npt, w = model.npt, model.w
+    """Raise unless the invariants of a model whose config passed
+    ``_check_config`` hold; ``k`` is the rbf training kernel, if built."""
+    cfg, npt, w = model.config, model.npt, model.w
     if (cfg["kernel"] == "rbf") != (npt is not None):
         raise InvariantViolation("kernel == 'rbf' must coincide with an npt block")
+    if cfg["d"] != w.shape[0]:
+        raise InvariantViolation(f"config d = {cfg['d']} does not match the {w.shape[0]} "
+                                 "rows of W")
+    if npt is not None and cfg["sigma"] != npt.sigma:
+        raise InvariantViolation(f"config sigma = {cfg['sigma']} is not the npt block's "
+                                 f"{npt.sigma}")
     desc = model.description
     if desc.center.shape[0] != w.shape[0]:
         raise InvariantViolation("center dimension does not match the rows of W")
     if not desc.radius_sq >= 0.0:
         raise InvariantViolation("radius_sq is negative")
+    # on a list: three numpy reductions of a small model's alpha cost more
+    a, slack = desc.alpha.alpha.tolist(), FEASIBILITY_SLACK
+    if not (abs(sum(a) - 1.0) <= slack and min(a) >= -slack and max(a) <= desc.alpha.C + slack):
+        raise InvariantViolation("alpha must sum to 1 with each entry between 0 and C")
     if npt is None:
         dev = np.abs(w @ w.T - np.eye(w.shape[0])).max()
         if not dev <= 1e-8:  # false for NaN too
@@ -106,11 +138,13 @@ def _check_model(model: TrainedModel, k=None):
 
 def _training_kernel(w, sigma, train_x, n):
     """The rbf kernel of the training inputs, once W's columns, the inputs
-    and the ``n`` alphas agree in number and sigma is positive."""
+    and the ``n`` alphas agree in number and sigma is in range."""
     if not train_x.shape[1] == w.shape[1] == n:
         raise InvariantViolation("npt block does not match the alpha length")
-    if not sigma > 0.0:
-        raise InvariantViolation("sigma must be positive")
+    try:
+        check_setting("sigma", sigma)
+    except ValueError as exc:
+        raise InvariantViolation(f"npt block: {exc}") from None
     return rbf_kernel(train_x, sigma)
 
 
@@ -138,6 +172,7 @@ def _input_dim(model: TrainedModel):
 
 def save(model: TrainedModel, path):
     """Write the model as a format_version 4 JSON document."""
+    _check_config(model.config)
     _check_model(model)
     desc = model.description
     payload = {
@@ -220,9 +255,9 @@ def load(path) -> TrainedModel:
     if version not in (1, 2, 3, FORMAT_VERSION):
         raise VersionError(f"unknown format_version {version!r}")
     _fields(payload, "model file", ("config", "description"))
-    cfg = _fields(payload["config"], "config", CONFIG_KEYS)
+    cfg = _check_config(payload["config"])
     d_raw = _fields(payload["description"], "description", DESCRIPTION_KEYS)
-    alpha = AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(_array(cfg["C"], "C", 0)))
+    alpha = AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(cfg["C"]))
     desc = DataDescription(alpha, _array(d_raw["center"], "center", 1),
                            float(_array(d_raw["radius_sq"], "radius_sq", 0)),
                            *support_sets(alpha))

@@ -1,11 +1,10 @@
-"""End-to-end fitting: method selection, scaling, kernel basis, training, bundling.
+"""End-to-end fitting: scaling, kernel basis, training, bundling.
 
-A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
-``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``. Every family is fitted
-by ``subspace.train`` in the (possibly kernel-induced) feature space: plain
-SVDD is the fit with Q = I held fixed (psi0, k_max = 1, so no update runs),
-and the subspace families run the iterative optimizer. The family only
-picks the training configuration.
+Every method family (see ``settings``) is fitted by ``subspace.train`` in the
+(possibly kernel-induced) feature space: plain SVDD is the fit with Q = I
+held fixed (psi0, k_max = 1, so no update runs), and the subspace families
+run the iterative optimizer. The family only picks the training
+configuration.
 
 A fit runs in two steps. ``prepare_features`` z-scores the raw training
 columns (when asked) and, for rbf kernels, holds the kernel basis of their
@@ -17,7 +16,6 @@ one O(N^3) basis; grid search does so per (fold, sigma).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,69 +24,20 @@ from .errors import DataError, DimensionMismatch
 from .kernel import build_npt, subspace_map
 from .metrics import confusion_from_labels, gmean
 from .model_store import TrainedModel, input_features
+# MethodSpec and parse_method are imported from here too
+from .settings import KERNELS, MethodSpec, check_setting, parse_method
 from .subspace import TrainConfig, train
 from .svdd import check_feasible_c, decide_batch
 
 log = logging.getLogger("subsvdd")
 
-FAMILIES = ("svdd", "ssvdd", "nssvdd")
-KERNELS = ("linear", "rbf")
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """Parsed method string: family, feature space, regularizer, direction."""
-
-    family: str
-    kernel: str
-    psi: int | None = None
-    direction: str | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown method family {self.family!r}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.family == "svdd":
-            if self.psi is not None or self.direction is not None:
-                raise ValueError("plain svdd takes no psi/direction")
-        else:
-            if self.psi not in (0, 1, 2, 3):
-                raise ValueError("psi must be one of 0..3")
-            if self.direction not in ("min", "max"):
-                raise ValueError("direction must be 'min' or 'max'")
-
-    @property
-    def optimizer(self):
-        return {"svdd": None, "ssvdd": "gradient", "nssvdd": "newton"}[self.family]
-
-    def __str__(self):
-        if self.family == "svdd":
-            return f"{self.family}-{self.kernel}"
-        return f"{self.family}-{self.kernel}-psi{self.psi}-{self.direction}"
-
-
-def parse_method(text):
-    parts = text.strip().lower().split("-")
-    if len(parts) == 2:
-        return MethodSpec(family=parts[0], kernel=parts[1])
-    if len(parts) == 4:
-        if not parts[2].startswith("psi"):
-            raise ValueError(f"bad method string {text!r}")
-        return MethodSpec(
-            family=parts[0],
-            kernel=parts[1],
-            psi=int(parts[2][3:]),
-            direction=parts[3],
-        )
-    raise ValueError(f"bad method string {text!r}")
-
 
 class PreparedFeatures:
     """Training columns made ready for fits: z-scored when ``zscore`` is set,
     and for rbf kernels mapped through the kernel basis of their centered
-    kernel at ``sigma``. The basis is built on first use, so a fit whose C is
-    infeasible builds none, and every fit handed this object shares it."""
+    kernel at ``sigma`` (None for linear). The basis is built on first use,
+    so a fit whose C is infeasible builds none, and every fit handed this
+    object shares it."""
 
     def __init__(self, x_raw, kernel, sigma, zscore):
         self.n = x_raw.shape[1]
@@ -110,23 +59,20 @@ class PreparedFeatures:
         return self._npt
 
     def check(self, kernel, sigma, zscore):
-        """Raise ValueError unless a fit with this kernel, sigma and scaling
-        may run on these features."""
-        if kernel != self.kernel:
-            raise ValueError(f"features prepared for the {self.kernel} kernel, "
-                             f"not {kernel}")
-        if bool(zscore) != self.zscore:
-            raise ValueError(f"features prepared with zscore={self.zscore}, "
-                             f"not {bool(zscore)}")
-        if kernel == "rbf" and (sigma is None or float(sigma) != self.sigma):
-            raise ValueError(f"features prepared for sigma={self.sigma}, not {sigma}")
+        """Raise ValueError unless a fit with this kernel, sigma (None for the
+        linear kernel) and scaling may run on these features."""
+        given, held = (kernel, sigma, bool(zscore)), (self.kernel, self.sigma, self.zscore)
+        if given != held:
+            raise ValueError(f"features prepared for (kernel, sigma, zscore) = {held}, "
+                             f"not {given}")
 
 
 def prepare_features(x_raw, kernel, sigma=None, zscore=False):
     """The D x N block of raw training columns ``x_raw`` made ready for fits
     with this kernel, sigma and scaling (see ``PreparedFeatures``). The
     columns are copied, so a later write to ``x_raw`` cannot reach the basis
-    built on first use. A column holding NaN or Inf raises DataError."""
+    built on first use. A column holding NaN or Inf raises DataError. The
+    linear kernel takes no sigma: one given is checked, then held as None."""
     x_mat = np.array(x_raw, dtype=np.float64)
     if x_mat.ndim != 2:
         raise DimensionMismatch("training features must be a D x N matrix")
@@ -135,13 +81,10 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
         raise DataError(f"training columns {bad.tolist()} hold NaN or Inf")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    if kernel == "rbf":
-        if sigma is None:
-            raise ValueError("rbf methods need sigma")
-        sigma = float(sigma)
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-    return PreparedFeatures(x_mat, kernel, sigma, bool(zscore))
+    if kernel == "rbf" or sigma is not None:
+        check_setting("sigma", sigma)
+    return PreparedFeatures(x_mat, kernel, float(sigma) if kernel == "rbf" else None,
+                            bool(zscore))
 
 
 def fit_occ_model(
@@ -162,19 +105,26 @@ def fit_occ_model(
 
     ``features`` is either a D x N block of raw columns, prepared here, or
     what ``prepare_features`` made of one; a prepared object must match the
-    method's kernel, ``sigma`` and ``zscore``, or ValueError is raised.
+    method's kernel, ``sigma`` and ``zscore``, or ValueError is raised. So
+    must each setting its range in ``settings.RANGES``, before any work.
     ``eval_data`` is an optional (X_eval, is_target) pair in the raw input
     space; when given, each iteration of the trace carries the Gmean of the
     current model on it, scored as ``predict`` scores it. Returns
     (TrainedModel, trace).
     """
+    given = {"C": C, "d": d, "beta": beta, "eta": eta, "sigma": sigma, "k_max": k_max,
+             "seed": seed}
+    # plain SVDD takes no d and the linear kernel no sigma: left out, they are
+    # not checked, and a linear fit records no sigma
+    unused = {"d": method.family == "svdd", "sigma": method.kernel == "linear"}
+    for name, value in given.items():
+        if value is not None or not unused.get(name):
+            check_setting(name, value)
     if isinstance(features, PreparedFeatures):
         prepared = features
-        prepared.check(method.kernel, sigma, zscore)
+        prepared.check(method.kernel, None if unused["sigma"] else sigma, zscore)
     else:
         prepared = prepare_features(features, method.kernel, sigma, zscore)
-    if not C > 0.0:
-        raise ValueError(f"C must be positive, got {C}")
     # before the O(N^3) kernel basis, which C < 1/N would waste
     check_feasible_c(C, prepared.n)
     scaling, npt = prepared.scaling, prepared.npt
@@ -197,9 +147,7 @@ def fit_occ_model(
         d_used, q0 = feat_dim, np.eye(feat_dim)
         cfg = TrainConfig(d=d_used, C=C, reg_kind="psi0", k_max=1)
     else:
-        if d is None:
-            raise ValueError("subspace methods need the target dimension d")
-        d_used, q0 = int(d), None
+        d_used, q0 = d, None
         if method.kernel == "rbf" and d_used > feat_dim:
             log.warning(
                 "requested d=%d exceeds retained kernel rank %d; clamping",
@@ -232,7 +180,7 @@ def fit_occ_model(
         "eta": float(eta),
         "k_max": int(k_max),
         "seed": int(seed),
-        "sigma": None if sigma is None else float(sigma),
+        "sigma": prepared.sigma,
         "zscore": bool(zscore),
         "scaling": None if scaling is None else {k: v.tolist() for k, v in scaling.items()},
     }

@@ -1,0 +1,94 @@
+"""The values a fit may be given: method names and the range of each setting.
+
+A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
+``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``. The numeric settings
+of a fit (C, d, beta, eta, sigma, k_max, seed) each have one range, in
+``RANGES``. Every value that reaches a fit, whether it comes as a CLI flag,
+an API argument, a grid list entry, a benchmark config key or a model file
+field, is tested with ``check_setting``. NaN, +-Inf and bools fail every test.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+# each family and the subspace update it runs; plain SVDD holds Q = I fixed
+OPTIMIZER_OF = {"svdd": None, "ssvdd": "gradient", "nssvdd": "newton"}
+FAMILIES = tuple(OPTIMIZER_OF)
+KERNELS = ("linear", "rbf")
+PSIS = (0, 1, 2, 3)
+DIRECTIONS = ("min", "max")
+
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+
+# setting -> (types, test, what its values must be); a bool is of no type
+# here, and NaN and +-Inf fail every test
+RANGES = {
+    "C": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "d": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "beta": (_REAL, lambda v: 0 <= v < math.inf, "a non-negative finite number"),
+    "eta": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "sigma": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "k_max": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "seed": (_INTEGER, lambda v: v >= 0, "a non-negative integer"),
+}
+
+
+def check_setting(name, value):
+    """Raise ValueError unless ``value`` lies in the range of setting ``name``."""
+    types, test, what = RANGES[name]
+    if isinstance(value, bool) or not isinstance(value, types) or not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Parsed method string: family, feature space, regularizer, direction."""
+
+    family: str
+    kernel: str
+    psi: int | None = None
+    direction: str | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown method family {self.family!r}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        if self.family == "svdd":
+            if self.psi is not None or self.direction is not None:
+                raise ValueError("plain svdd takes no psi/direction")
+        else:
+            integer = isinstance(self.psi, _INTEGER) and not isinstance(self.psi, bool)
+            if not (integer and self.psi in PSIS):
+                raise ValueError(f"psi must be one of {PSIS}, got {self.psi!r}")
+            if self.direction not in DIRECTIONS:
+                raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+
+    @property
+    def optimizer(self):
+        return OPTIMIZER_OF[self.family]
+
+    def __str__(self):
+        if self.family == "svdd":
+            return f"{self.family}-{self.kernel}"
+        return f"{self.family}-{self.kernel}-psi{self.psi}-{self.direction}"
+
+
+def parse_method(text):
+    parts = text.strip().lower().split("-")
+    if len(parts) == 2:
+        return MethodSpec(family=parts[0], kernel=parts[1])
+    if len(parts) == 4:
+        if not parts[2].startswith("psi"):
+            raise ValueError(f"bad method string {text!r}")
+        return MethodSpec(
+            family=parts[0],
+            kernel=parts[1],
+            psi=int(parts[2][3:]),
+            direction=parts[3],
+        )
+    raise ValueError(f"bad method string {text!r}")

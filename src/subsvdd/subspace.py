@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
 from .numerics import qr_orthonormalize_rows, sym_eig
+from .settings import DIRECTIONS, OPTIMIZER_OF, PSIS, check_setting
 from .svdd import (
     AlphaVector,
     DataDescription,
@@ -68,9 +69,8 @@ from .svdd import (
     support_sets,
 )
 
-REG_KINDS = ("psi0", "psi1", "psi2", "psi3")
-DIRECTIONS = ("min", "max")
-OPTIMIZERS = ("gradient", "newton")
+REG_KINDS = tuple(f"psi{k}" for k in PSIS)
+OPTIMIZERS = tuple(o for o in OPTIMIZER_OF.values() if o is not None)
 # eigenvalues of B at or below this fraction of the largest are dropped
 EIG_REL_TOL = 1e-10
 MAX_REDRAWS = 3  # redraws of dependent rows of Q before a fit fails
@@ -91,20 +91,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if self.reg_kind not in REG_KINDS:
-            raise ValueError(f"unknown regularization kind {self.reg_kind!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        for name in ("d", "C", "beta", "eta", "k_max", "seed"):
+            check_setting(name, getattr(self, name))
+        for name, allowed in (("reg_kind", REG_KINDS), ("direction", DIRECTIONS),
+                              ("optimizer", OPTIMIZERS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ from .errors import (
 
 # the margin, as a fraction of C, that ``support_sets`` keeps from 0 and C
 SV_EPS_FACTOR = 1e-6
+# how far alpha may stray from the simplex capped at C, and C * N below 1
+FEASIBILITY_SLACK = 1e-9
 
 # in the face step, singular values of the free points (less their mean) at
 # most this fraction of the largest count as zero
@@ -97,7 +99,7 @@ def support_sets(alpha: AlphaVector):
 
 def check_feasible_c(C, n):
     """Raise InfeasibleC unless N points admit sum(alpha) = 1 with alpha <= C."""
-    if C * n < 1.0 - 1e-9:
+    if C * n < 1.0 - FEASIBILITY_SLACK:
         raise InfeasibleC(f"C = {C} < 1/N = {1.0 / n}")
 
 

@@ -89,13 +89,28 @@ class TestTrainCommand:
         assert code == 3
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("train", ["--kernel", "rbf", "--sigma", "0"]),
-        ("train", ["--kernel", "rbf", "--sigma", "-1"]),
-        ("train", ["--C", "0"]),
-        ("trace", ["--splits", "0"]),
-    ], ids=["sigma-zero", "sigma-negative", "C-zero", "splits-zero"])
-    def test_out_of_range_flag_exits_1(self, tmp_path, caplog, command, flag):
+    @pytest.mark.parametrize("command, flag, name", [
+        ("train", ["--kernel", "rbf", "--sigma", "0"], "sigma"),
+        ("train", ["--kernel", "rbf", "--sigma", "-1"], "sigma"),
+        ("train", ["--kernel", "rbf", "--sigma", "nan"], "sigma"),
+        ("train", ["--kernel", "rbf", "--sigma", "inf"], "sigma"),
+        ("train", ["--kernel", "linear", "--sigma", "-1"], "sigma"),
+        ("train", ["--C", "0"], "C"),
+        ("train", ["--C", "nan"], "C"),
+        ("train", ["--C", "inf"], "C"),
+        ("train", ["--eta", "nan"], "eta"),
+        ("train", ["--eta", "inf"], "eta"),
+        ("train", ["--beta", "nan"], "beta"),
+        ("train", ["--beta", "inf"], "beta"),
+        ("train", ["--seed", "-1"], "seed"),
+        ("train", ["--dim", "0"], "d"),
+        ("train", ["--method", "svdd", "--iters", "0"], "k_max"),
+        ("trace", ["--eta", "nan"], "eta"),
+        ("trace", ["--splits", "0"], "splits"),
+    ], ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "linear-sigma-negative",
+            "C-zero", "C-nan", "C-inf", "eta-nan", "eta-inf", "beta-nan", "beta-inf",
+            "seed-negative", "dim-zero", "svdd-iters-zero", "trace-eta-nan", "splits-zero"])
+    def test_out_of_range_flag_exits_1(self, tmp_path, caplog, command, flag, name):
         # a value no fit can take is a usage error, not a numerical failure
         data = write_blob_csv(tmp_path / "d.csv")
         code = main([command, "--data", str(data), "--target-class", "target",
@@ -104,7 +119,14 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
         error = caplog.records[-1]
         assert error.levelname == "ERROR"
-        assert error.getMessage().startswith(flag[-2].lstrip("-") + " must be")
+        assert error.getMessage().startswith(name + " must be")
+
+    def test_linear_train_records_no_sigma(self, tmp_path):
+        data = write_blob_csv(tmp_path / "d.csv")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target-class", "target", "--out", str(out),
+                     "--kernel", "linear", "--sigma", "5", "--iters", "3"]) == 0
+        assert json.loads(out.read_text())["config"]["sigma"] is None
 
     def test_unknown_class_exits_2(self, tmp_path):
         data = write_blob_csv(tmp_path / "d.csv")
@@ -310,6 +332,10 @@ class TestBenchmarkCommand:
             ({"grid": {"d": [2.5]}}, "d"),
             ({"grid": {"d": [0]}}, "d"),
             ({"grid": {"eta": [-1]}}, "eta"),
+            ({"grid": {"eta": [float("inf")]}}, "eta"),
+            ({"grid": {"C": [float("nan")]}}, "C"),
+            ({"grid": {"beta": [True]}}, "beta"),
+            ({"iters": 1.5}, "iters"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, caplog, change, key):

@@ -42,6 +42,10 @@ class TestRbfKernel:
         with pytest.raises(NonPositiveSigma):
             rbf_kernel(np.zeros((2, 3)), 0.0)
 
+    def test_nan_sigma(self):
+        with pytest.raises(NonPositiveSigma):
+            rbf_kernel(np.zeros((2, 3)), float("nan"))
+
 
 class TestCenterKernel:
     def test_constant_kernel_annihilated(self):

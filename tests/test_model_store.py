@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -268,6 +269,36 @@ def _drop_w_column(payload):
         row.pop()
 
 
+MODELS = {"linear": linear_model, "linear-zscore": lambda: linear_model(zscore=True),
+          "rbf": rbf_model}
+# (id, model, edit): files whose config no fit writes, or whose alpha is off
+# the simplex capped at C
+NOT_FROM_A_FIT = [
+    ("kernel-banana", "linear", _set("config", "kernel", "banana")),
+    ("method-foo", "linear", _set("config", "method", "foo")),
+    ("psi-true", "linear", _set("config", "psi", True)),
+    ("psi-4", "linear", _set("config", "psi", 4)),
+    ("direction-up", "linear", _set("config", "direction", "up")),
+    ("optimizer-gradient", "linear", _set("config", "optimizer", "gradient")),
+    ("d-7", "linear", _set("config", "d", 7)),
+    ("d-float", "linear", _set("config", "d", 2.0)),
+    ("C-negative", "linear", _set("config", "C", -1)),
+    ("beta-negative", "linear", _set("config", "beta", -1.0)),
+    ("eta-zero", "linear", _set("config", "eta", 0)),
+    ("k_max-zero", "linear", _set("config", "k_max", 0)),
+    ("seed-float", "linear", _set("config", "seed", 1.5)),
+    ("sigma-negative", "linear", _set("config", "sigma", -2.0)),
+    ("zscore-yes", "linear", _set("config", "zscore", "yes")),
+    ("zscore-without-scaling", "linear", _set("config", "zscore", True)),
+    ("no-zscore-with-scaling", "linear-zscore", _set("config", "zscore", False)),
+    ("alpha-off-simplex", "linear", _set("description", "alpha", [5, -3])),
+    ("alpha-sum", "linear", lambda payload: payload["description"]["alpha"].append(0.5)),
+    ("alpha-above-C", "linear", _set("config", "C", 0.01)),
+    ("rbf-sigma-changed", "rbf", _set("config", "sigma", 3.3)),
+    ("rbf-sigma-null", "rbf", _set("config", "sigma", None)),
+]
+
+
 class TestLoadRejectsMalformedFields:
     @pytest.mark.parametrize(
         "edit",
@@ -359,6 +390,30 @@ class TestLoadRejectsMalformedFields:
         probes = tmp_path / "probes.csv"
         probes.write_text("0,0,0,0,0\n")
         assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
+
+    @pytest.mark.parametrize("source, edit", [source_edit for _, *source_edit in NOT_FROM_A_FIT],
+                             ids=[case[0] for case in NOT_FROM_A_FIT])
+    def test_config_no_fit_writes(self, tmp_path, source, edit):
+        path = _edited(tmp_path, MODELS[source](), edit)
+        with pytest.raises((SchemaError, InvariantViolation)):
+            load(path)
+        probes = tmp_path / "probes.csv"
+        probes.write_text("0,0,0,0,0\n")
+        assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
+
+    def test_linear_file_with_a_sigma_loads(self, tmp_path):
+        model = linear_model()
+        path = _edited(tmp_path, model, _set("config", "sigma", 3.0))
+        x = make_blobs(seed=1)[1]
+        for before, after in zip(predict(model, x), predict(load(path), x)):
+            assert before.tobytes() == after.tobytes()
+
+    def test_save_checks_the_config(self, tmp_path):
+        model = linear_model()
+        bad = dataclasses.replace(model, config={**model.config, "eta": float("nan")})
+        with pytest.raises(SchemaError, match="eta must be"):
+            save(bad, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
 
     def test_training_inputs_of_wrong_length(self, tmp_path):
         def edit(payload):
