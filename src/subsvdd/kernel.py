@@ -10,6 +10,11 @@ kernel vector against the training set, centered by the training statistics
 (``npt_map``). A fitted subspace Q composes with that map into one d x N
 matrix W = Q A_r^{-1/2} U_r' (``subspace_map``), so Q phi(x) = W k_hat(x)
 and a model needs neither U_r nor the eigenvalues to predict.
+
+A kernel block of M new points costs two N x M arrays: the product x'z, and
+one buffer in which the squared distances are formed, clamped, scaled,
+exponentiated and centered, in the order of the out-of-place expressions, so
+each entry has the bits those give.
 """
 from __future__ import annotations
 
@@ -45,42 +50,56 @@ class NptBasis(KernelMap):
 
 
 def _pairwise_sq_dists(x, z):
-    xx = (x * x).sum(axis=0)
-    zz = (z * z).sum(axis=0)
-    d2 = xx[:, None] + zz[None, :] - 2.0 * (x.T @ z)
-    return np.maximum(d2, 0.0)
+    """N x M squared distances of columns x_i and z_j, clamped at 0: one
+    buffer takes xx + zz, then -= 2 x'z, then the clamp. The 2 scales the
+    product rather than an operand: with ``z is x`` numpy computes ``x.T @ z``
+    by syrk, and an operand 2 z would make it a gemm of other bits."""
+    xz = x.T @ z
+    xz *= 2.0
+    d2 = np.add.outer((x * x).sum(axis=0), (z * z).sum(axis=0))
+    d2 -= xz
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def rbf_kernel_cross(x_train, x_new, sigma):
-    """N x M kernel block of columns x_i and z_j, exp(-||x_i - z_j||^2 / (2 sigma^2))."""
+    """N x M kernel block of columns x_i and z_j, exp(-||x_i - z_j||^2 / (2 sigma^2)),
+    scaled and exponentiated in the distances' buffer."""
     if not sigma > 0.0:  # false for NaN too
         raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
     a = np.asarray(x_train, dtype=np.float64)
     b = np.asarray(x_new, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"cannot compare columns of {a.shape} and {b.shape}")
-    return np.exp(-_pairwise_sq_dists(a, b) / (2.0 * sigma * sigma))
+    k = _pairwise_sq_dists(a, b)
+    k /= -(2.0 * sigma * sigma)  # the bits of -d2 / (2 sigma^2)
+    return np.exp(k, out=k)
 
 
 def rbf_kernel(x, sigma):
     """N x N RBF kernel of the columns of x: ``rbf_kernel_cross(x, x, sigma)``
     made exactly symmetric, with a unit diagonal."""
     k = rbf_kernel_cross(x, x, sigma)
-    k = 0.5 * (k + k.T)
-    np.fill_diagonal(k, 1.0)
-    return k
+    k_sym = np.add(k, k.T)
+    k_sym *= 0.5
+    np.fill_diagonal(k_sym, 1.0)
+    return k_sym
 
 
 def center_kernel(k):
-    """Double centering (I - 11'/N) K (I - 11'/N); removes the feature-space mean."""
+    """Double centering (I - 11'/N) K (I - 11'/N); removes the feature-space
+    mean. The symmetry test and the centering share one output array."""
     k_mat = np.asarray(k, dtype=np.float64)
     if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got {k_mat.shape}")
-    if np.abs(k_mat - k_mat.T).max() > 1e-9:
+    out = np.subtract(k_mat, k_mat.T)
+    if np.abs(out, out=out).max() > 1e-9:
         raise NotSymmetric("kernel matrix is not symmetric")
     row_mean = k_mat.mean(axis=1, keepdims=True)
     total_mean = k_mat.mean()
-    return k_mat - row_mean - row_mean.T + total_mean
+    np.subtract(k_mat, row_mean, out=out)
+    out -= row_mean.T
+    out += total_mean
+    return out
 
 
 def build_npt(x, sigma):
@@ -123,9 +142,10 @@ def kernel_vectors(x_new, kmap: KernelMap):
             f"new points {pts.shape} do not match training dimension "
             f"{kmap.train_x.shape[0]}"
         )
-    k_star = rbf_kernel_cross(kmap.train_x, pts, kmap.sigma)  # N x M
-    v = k_star - kmap.k_row_mean[:, None]
-    return v - v.mean(axis=0, keepdims=True)
+    k_hat = rbf_kernel_cross(kmap.train_x, pts, kmap.sigma)  # N x M
+    k_hat -= kmap.k_row_mean[:, None]
+    k_hat -= k_hat.mean(axis=0, keepdims=True)
+    return k_hat
 
 
 def npt_map(x_new, basis: NptBasis):

@@ -209,15 +209,20 @@ def _fields(obj, name, keys):
 
 
 def _array(obj, key, ndim):
-    """A JSON number (ndim 0), list (1) or list of lists (2) of finite floats."""
+    """A JSON number (ndim 0), list (1) or list of lists (2) of finite floats.
+
+    The kind of the array numpy builds from ``obj`` rejects strings ("U"),
+    booleans ("b") and nulls ("O") in one test, with no pass over the entries
+    in Python. A boolean mixed among numbers still passes, as 0 or 1.
+    """
     try:
-        a = np.asarray(obj, dtype=np.float64)
+        a = np.asarray(obj)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+    if a is None or a.dtype.kind not in "iuf" or a.ndim != ndim or not np.isfinite(a).all():
         shape = ("number", "vector", "matrix")[ndim]
         raise SchemaError(f"field {key!r} must be a {shape} of finite values")
-    return a
+    return a.astype(np.float64, copy=False)
 
 
 def _old_rbf_map(payload, n_raw):
@@ -252,7 +257,8 @@ def load(path) -> TrainedModel:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _fields(payload, f"{path}: top level", ())
     version = payload.get("format_version")
-    if version not in (1, 2, 3, FORMAT_VERSION):
+    # type(): True == 1 and 3.0 == 3, but neither is a JSON integer
+    if type(version) is not int or version not in (1, 2, 3, FORMAT_VERSION):
         raise VersionError(f"unknown format_version {version!r}")
     _fields(payload, "model file", ("config", "description"))
     cfg = _check_config(payload["config"])

@@ -373,8 +373,10 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
 
 
 def _dist_sq(y, center):
-    """Squared distance of every column of y to the center."""
-    return ((y - center[:, None]) ** 2).sum(axis=0)
+    """Squared distance of every column of y to the center, squared and summed
+    in a difference array of its own, so ``y`` is never written."""
+    diff = y - center[:, None]
+    return np.square(diff, out=diff).sum(axis=0)
 
 
 def describe(alpha: AlphaVector, y):

@@ -5,7 +5,7 @@ from its definition, slowly and without the package's shortcuts.
 """
 import numpy as np
 
-from subsvdd.errors import DimensionMismatch
+from subsvdd.errors import DimensionMismatch, NotSymmetric
 from subsvdd.numerics import as_matrix, sym_eig
 from subsvdd.svdd import _gram_block
 
@@ -115,3 +115,52 @@ def pair_sweep_full(diag, points, alpha, grad, C):
     np.fill_diagonal(gain, 0.0)
     i, j = divmod(int(np.argmax(gain)), alpha.shape[0])
     return i, j, float(t[i, j]), float(gain[i, j])
+
+
+# The rbf kernel layer and the distance rule written out of place, one new
+# array per operation. The package runs the same operations in the same order
+# in buffers of its own, so it must return the same bits, warn where these
+# warn and write none of its arguments.
+
+
+def pairwise_sq_dists(x, z):
+    """N x M squared distances of the columns of x and z, clamped at 0."""
+    xx = (x * x).sum(axis=0)
+    zz = (z * z).sum(axis=0)
+    d2 = xx[:, None] + zz[None, :] - 2.0 * (x.T @ z)
+    return np.maximum(d2, 0.0)
+
+
+def rbf_kernel_cross(x_train, x_new, sigma):
+    """N x M block exp(-||x_i - z_j||^2 / (2 sigma^2))."""
+    a = np.asarray(x_train, dtype=np.float64)
+    b = np.asarray(x_new, dtype=np.float64)
+    return np.exp(-pairwise_sq_dists(a, b) / (2.0 * sigma * sigma))
+
+
+def rbf_kernel(x, sigma):
+    """N x N kernel of the columns of x, symmetrized, with a unit diagonal."""
+    k = rbf_kernel_cross(x, x, sigma)
+    k = 0.5 * (k + k.T)
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+def center_kernel(k):
+    """(I - 11'/N) K (I - 11'/N), after the package's symmetry test."""
+    if np.abs(k - k.T).max() > 1e-9:
+        raise NotSymmetric("kernel matrix is not symmetric")
+    row_mean = k.mean(axis=1, keepdims=True)
+    return k - row_mean - row_mean.T + k.mean()
+
+
+def kernel_vectors(x_new, kmap):
+    """Kernel vectors of new columns, centered with the training row means
+    of the kernel map ``kmap``."""
+    v = rbf_kernel_cross(kmap.train_x, x_new, kmap.sigma) - kmap.k_row_mean[:, None]
+    return v - v.mean(axis=0, keepdims=True)
+
+
+def dist_sq(y, center):
+    """Squared distance of every column of y to the center."""
+    return ((y - center[:, None]) ** 2).sum(axis=0)

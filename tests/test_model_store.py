@@ -219,6 +219,12 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="'W'"):
             load(path)
 
+    @pytest.mark.parametrize("version", [True, 4.0, 3.0], ids=["true", "4.0", "3.0"])
+    def test_version_not_an_integer(self, tmp_path, version):
+        path = _edited(tmp_path, linear_model(), _set("format_version", version))
+        with pytest.raises(VersionError):
+            load(path)
+
     def test_garbage_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -247,6 +253,23 @@ def _set(*keys_and_value):
         for key in keys:
             payload = payload[key]
         payload[last] = value
+
+    return edit
+
+
+def _as_strings(*keys):
+    """An edit that writes every number under the top-level ``keys`` as a
+    string, "0.5" for 0.5."""
+    def strings(obj):
+        if isinstance(obj, dict):
+            return {k: strings(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [strings(v) for v in obj]
+        return repr(obj) if isinstance(obj, float) else obj
+
+    def edit(payload):
+        for key in keys:
+            payload[key] = strings(payload[key])
 
     return edit
 
@@ -349,6 +372,24 @@ class TestLoadRejectsMalformedFields:
     def test_malformed_linear_field(self, tmp_path, edit):
         with pytest.raises(SchemaError):
             load(_edited(tmp_path, linear_model(zscore=True), edit))
+
+    @pytest.mark.parametrize("source, edit", [
+        ("linear", _as_strings("Q", "description")),
+        ("linear", _set("Q", 0, 0, "0.5")),
+        ("linear", _set("description", "center", 0, "0.5")),
+        ("linear", _set("description", "radius_sq", "0.5")),
+        ("linear", _set("description", "radius_sq", True)),
+        ("linear", _set("description", "center", [False] * 2)),
+        ("linear-zscore", _set("config", "scaling", "mean", ["0.0"] * 5)),
+        ("rbf", _as_strings("npt")),
+        ("rbf", _set("npt", "sigma", "3.0")),
+        ("rbf", _set("npt", "sigma", True)),
+    ], ids=["linear-all-str", "Q-str", "center-str", "radius_sq-str", "radius_sq-true",
+            "center-bool", "scaling-str", "rbf-all-str", "sigma-str", "sigma-true"])
+    def test_number_written_as_another_type(self, tmp_path, source, edit):
+        path = _edited(tmp_path, MODELS[source](), edit)
+        with pytest.raises(SchemaError, match="finite values"):
+            load(path)
 
     def test_alpha_longer_than_the_training_points(self, tmp_path):
         def edit(payload):
