@@ -17,7 +17,8 @@ from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
 from .pipeline import fit_occ_model
-from .settings import DIRECTIONS, FAMILIES, KERNELS, PSIS, MethodSpec, check_setting, parse_method
+from .settings import (DIRECTIONS, FAMILIES, KERNELS, PSIS, RANGES, MethodSpec, check_setting,
+                       parse_method)
 
 log = logging.getLogger("subsvdd")
 
@@ -124,7 +125,8 @@ def _cmd_predict(args):
 
 
 # benchmark-config key -> (run_benchmark keyword, JSON type or allowed values);
-# a key the file leaves out takes the default of run_benchmark or fit_occ_model
+# a key the file leaves out takes the default of run_benchmark or fit_occ_model,
+# and a key whose keyword is a setting must lie in its range (settings.RANGES)
 CONFIG_KEYS = {
     "datasets": ("datasets", list),
     "methods": ("methods", list),
@@ -135,12 +137,6 @@ CONFIG_KEYS = {
     "grid": ("grid", dict),
     "iters": ("k_max", int),
     "zscore": ("zscore", bool),
-}
-# the values a numeric key may take, as (test, description)
-CONFIG_RANGES = {
-    "repetitions": (lambda v: v >= 1, "at least 1"),
-    "kfolds": (lambda v: v >= 2, "at least 2"),
-    "train_frac": (lambda v: 0.0 < v < 1.0, "between 0 and 1"),
 }
 # the keys of one "datasets" entry, load_csv's parameters, and their types
 DATASET_KEYS = {"path": str, "has_header": bool, "label_column": ("first", "last"), "name": str}
@@ -179,11 +175,7 @@ def read_benchmark_config(path):
         if not _json_is(value, kind):
             what = f"one of {kind}" if isinstance(kind, tuple) else f"of type {kind.__name__}"
             raise DataError(f"benchmark config key {key!r} must be {what}, got {value!r}")
-        if key in CONFIG_RANGES and not CONFIG_RANGES[key][0](value):
-            raise DataError(
-                f"benchmark config key {key!r} must be {CONFIG_RANGES[key][1]}, got {value!r}"
-            )
-        if key == "iters":
+        if keyword in RANGES:
             try:
                 check_setting(keyword, value)
             except ValueError as exc:

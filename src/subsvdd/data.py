@@ -20,6 +20,7 @@ from .errors import (
     TooFewSamples,
     UnknownClass,
 )
+from .settings import check_setting
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,7 @@ def load_features_csv(path, has_header=False):
 
 def make_occ_split(ds: DataSet, target, train_frac, seed):
     """Stratified shuffle split; training is per-class, test keeps all classes."""
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
+    check_setting("train_frac", train_frac)
     if target not in ds.class_names:
         raise UnknownClass(f"{target!r} not among classes {ds.class_names}")
     rng = np.random.default_rng(seed)
@@ -156,8 +156,7 @@ def make_occ_split(ds: DataSet, target, train_frac, seed):
 def kfold(indices, k, seed):
     """Deterministic k-fold partition; validation folds cover all indices."""
     idx = np.asarray(indices)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_setting("k", k)
     if idx.size < k:
         raise TooFewSamples(f"{idx.size} indices cannot form {k} folds")
     rng = np.random.default_rng(seed)

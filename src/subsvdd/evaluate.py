@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -76,7 +77,9 @@ def derive_seed(base, *parts):
 @dataclass(frozen=True)
 class GridSpec:
     """Hyperparameter candidate lists; defaults are the standard search ranges.
-    Each entry of each list must lie in the range of its setting."""
+    Each entry of each list must lie in the range of its setting. Each list
+    is held sorted and without repeats: of values that are equal as floats
+    (``1`` and ``1.0``), the first given is kept."""
 
     beta: tuple = (1e-2, 1e-1, 1.0, 1e1, 1e2)
     C: tuple = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -89,54 +92,37 @@ class GridSpec:
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and values):
                 raise ValueError(f"grid list {name!r} must be a non-empty list")
+            first = {}
             for value in values:
                 try:
                     check_setting(name, value)
                 except ValueError as exc:
                     raise ValueError(f"grid list {name!r}: {exc}") from None
-            object.__setattr__(self, name, tuple(values))
+                first.setdefault(float(value), value)
+            object.__setattr__(self, name, tuple(first[key] for key in sorted(first)))
 
 
-def _sort_key(point):
-    return tuple(-1.0 if point[k] is None else float(point[k]) for k in
-                 ("d", "C", "beta", "eta", "sigma"))
+# the settings a grid point sets, in the order points are enumerated
+GRID_ORDER = ("d", "C", "beta", "eta", "sigma")
 
 
 def enumerate_grid(method: MethodSpec, grid: GridSpec, input_dim):
-    """All candidate hyperparameter points for one method, deterministically ordered.
+    """All candidate hyperparameter points for one method, in lexicographic
+    (d, C, beta, eta, sigma) order.
 
-    sigma only applies to rbf kernels; d, beta and eta only to the subspace
-    families. For linear subspace methods d > input_dim is skipped (the
+    A setting the method does not read (``MethodSpec.reads``) is None in
+    every point. For linear subspace methods d > input_dim is skipped (the
     projection must reduce dimension); for rbf the fit clamps d at the
     retained kernel rank. With psi0 the regularizer vanishes, so the beta
     sweep collapses to its smallest value.
     """
-    sigmas = list(grid.sigma) if method.kernel == "rbf" else [None]
-    if method.family == "svdd":
-        points = [
-            {"d": None, "C": c, "beta": None, "eta": None, "sigma": s}
-            for c in grid.C
-            for s in sigmas
-        ]
-    else:
-        betas = [min(grid.beta)] if method.psi == 0 else list(grid.beta)
-        dims = [d for d in grid.d if method.kernel == "rbf" or d <= input_dim]
-        points = [
-            {"d": dd, "C": c, "beta": b, "eta": e, "sigma": s}
-            for dd in dims
-            for c in grid.C
-            for b in betas
-            for e in grid.eta
-            for s in sigmas
-        ]
-    seen = set()
-    unique = []
-    for p in points:
-        key = _sort_key(p)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    return sorted(unique, key=_sort_key)
+    lists = {name: getattr(grid, name) if method.reads(name) else (None,)
+             for name in GRID_ORDER}
+    if method.psi == 0:
+        lists["beta"] = lists["beta"][:1]
+    if method.kernel == "linear" and method.reads("d"):
+        lists["d"] = [d for d in lists["d"] if d <= input_dim]
+    return [dict(zip(GRID_ORDER, values)) for values in itertools.product(*lists.values())]
 
 
 def _fit(features, method, point, seed, **options):
@@ -292,59 +278,46 @@ def _stable_unique(items):
     return seen
 
 
-def _bench_cell(ds, target, method, rep, options, *, base_seed, grid, k, train_frac, timing):
-    """One benchmark cell: split, grid search, final fit, test Gmean."""
-    t0 = time.perf_counter()
-    split_seed = derive_seed(base_seed, ds.name, target, rep)
-    split = make_occ_split(ds, target, train_frac, split_seed)
-    cv_seed = derive_seed(base_seed, ds.name, target, rep, "cv")
-    point, _ = grid_search(ds, split, method, grid, k, cv_seed, **options)
-    fit_seed = derive_seed(base_seed, ds.name, target, rep, "fit")
-    model, _ = _fit(ds.features[:, split.train_target], method, point, fit_seed, **options)
-    _, pos = predict(model, ds.features[:, split.test_indices])
-    truth = ds.labels[split.test_indices] == target
-    score = gmean(confusion_from_labels(truth, pos))
-    wall = (time.perf_counter() - t0) * 1000.0 if timing else None
-    return BenchmarkRow(
-        dataset=ds.name,
-        target_class=target,
-        method=method,
-        split_index=rep,
-        gmean=score,
-        selected=point,
-        wall_ms=wall,
-    )
+def _split_and_seed(ds, target, rep, base_seed, train_frac):
+    """Split ``rep`` of target class ``target`` and the seed of its final fit."""
+    split = make_occ_split(ds, target, train_frac, derive_seed(base_seed, ds.name, target, rep))
+    return split, derive_seed(base_seed, ds.name, target, rep, "fit")
 
 
-def _bench_cell_safe(cell, settings, options):
+def _bench_cell(cell, options, *, base_seed, grid, k, train_frac, timing):
+    """One benchmark cell: split, grid search, final fit, test Gmean. A cell
+    that fails is logged and reported with no Gmean, selection or time."""
     ds, target, method, rep = cell
+    row = functools.partial(BenchmarkRow, dataset=ds.name, target_class=target, method=method,
+                            split_index=rep)
+    t0 = time.perf_counter()
     try:
-        return _bench_cell(ds, target, method, rep, options, **settings)
+        split, fit_seed = _split_and_seed(ds, target, rep, base_seed, train_frac)
+        cv_seed = derive_seed(base_seed, ds.name, target, rep, "cv")
+        point, _ = grid_search(ds, split, method, grid, k, cv_seed, **options)
+        model, _ = _fit(ds.features[:, split.train_target], method, point, fit_seed, **options)
+        _, pos = predict(model, ds.features[:, split.test_indices])
+        score = gmean(confusion_from_labels(ds.labels[split.test_indices] == target, pos))
     except SubsvddError as exc:
-        log.warning(
-            "benchmark cell failed (%s / %s / %s / split %d): %s",
-            ds.name, target, method, rep, exc,
-        )
-        return BenchmarkRow(
-            dataset=ds.name,
-            target_class=target,
-            method=method,
-            split_index=rep,
-            gmean=None,
-            selected={},
-            wall_ms=None,
-        )
+        log.warning("benchmark cell failed (%s / %s / %s / split %d): %s",
+                    ds.name, target, method, rep, exc)
+        return row(gmean=None, selected={}, wall_ms=None)
+    wall = (time.perf_counter() - t0) * 1000.0 if timing else None
+    return row(gmean=score, selected=point, wall_ms=wall)
 
 
 def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
                   train_frac=TRAIN_FRAC, jobs=1, timing=False, **options):
     """Full repeated-split benchmark over datasets x target classes x methods.
 
-    ``options`` go to every ``fit_occ_model`` call unchanged.
+    ``options`` go to every ``fit_occ_model`` call unchanged. Each run
+    setting (and the base ``seed``) must lie in its range in
+    ``settings.RANGES``, or ValueError is raised before any cell runs.
     """
+    for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k),
+                        ("train_frac", train_frac), ("jobs", jobs)):
+        check_setting(name, value)
     specs = [parse_method(m) for m in methods]
-    settings = {"base_seed": seed, "grid": grid or GridSpec(), "k": k,
-                "train_frac": train_frac, "timing": timing}
     cells = [
         (ds, target, method, rep)
         for ds in datasets
@@ -352,7 +325,9 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
         for method in specs
         for rep in range(repetitions)
     ]
-    run_cell = functools.partial(_bench_cell_safe, settings=settings, options=options)
+    run_cell = functools.partial(_bench_cell, options=options, base_seed=seed,
+                                 grid=grid or GridSpec(), k=k, train_frac=train_frac,
+                                 timing=timing)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_cell, cells, chunksize=1))
@@ -367,17 +342,17 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
     ``params`` maps hyperparameter names (C, d, beta, eta, sigma) to fixed
     values; no search happens here, and ``None`` values take
     ``fit_occ_model``'s defaults. ``options`` go to ``fit_occ_model``
-    unchanged. Each split trains on TRAIN_FRAC of every class. Returns rows
+    unchanged. ``splits`` and the base ``seed`` must lie in their ranges in
+    ``settings.RANGES``. Each split trains on TRAIN_FRAC of every class, and
+    split and fit seed are derived as a benchmark cell derives them. Returns rows
     (split_index, iteration, objective, gmean) for each split, followed by
     the across-split average series with split_index 'avg'.
     """
-    if splits < 1:
-        raise ValueError(f"splits must be at least 1, got {splits}")
+    check_setting("splits", splits)
+    check_setting("seed", seed)
     per_split = []
     for rep in range(splits):
-        split_seed = derive_seed(seed, ds.name, target, rep)
-        split = make_occ_split(ds, target, TRAIN_FRAC, split_seed)
-        fit_seed = derive_seed(seed, ds.name, target, rep, "fit")
+        split, fit_seed = _split_and_seed(ds, target, rep, seed, TRAIN_FRAC)
         truth = ds.labels[split.test_indices] == target
         _, trace = _fit(
             ds.features[:, split.train_target], method, params, fit_seed,

@@ -31,7 +31,7 @@ from .errors import (
     VersionError,
 )
 from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspace_map
-from .settings import RANGES, MethodSpec, check_setting
+from .settings import FIT_SETTINGS, MethodSpec, check_setting
 from .svdd import FEASIBILITY_SLACK, AlphaVector, DataDescription, decide_batch, support_sets
 
 FORMAT_VERSION = 4
@@ -85,9 +85,10 @@ def _check_config(cfg):
     cfg = _fields(cfg, "config", CONFIG_KEYS)
     try:
         method = MethodSpec(cfg["method"], cfg["kernel"], cfg["psi"], cfg["direction"])
-        for name in RANGES:
-            # a linear fit records no sigma; earlier ones recorded the one given
-            if not (name == "sigma" and method.kernel == "linear" and cfg[name] is None):
+        for name in FIT_SETTINGS:
+            # a fit records no value for a setting its method does not read
+            # and was not given (a linear fit's sigma); any value recorded is checked
+            if cfg[name] is not None or method.reads(name):
                 check_setting(name, cfg[name])
     except ValueError as exc:
         raise SchemaError(f"config: {exc}") from None

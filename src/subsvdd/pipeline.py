@@ -114,15 +114,14 @@ def fit_occ_model(
     """
     given = {"C": C, "d": d, "beta": beta, "eta": eta, "sigma": sigma, "k_max": k_max,
              "seed": seed}
-    # plain SVDD takes no d and the linear kernel no sigma: left out, they are
-    # not checked, and a linear fit records no sigma
-    unused = {"d": method.family == "svdd", "sigma": method.kernel == "linear"}
+    # a setting the method does not read (MethodSpec.reads) may be left out:
+    # it is then not checked, and the fit records none
     for name, value in given.items():
-        if value is not None or not unused.get(name):
+        if value is not None or method.reads(name):
             check_setting(name, value)
     if isinstance(features, PreparedFeatures):
         prepared = features
-        prepared.check(method.kernel, None if unused["sigma"] else sigma, zscore)
+        prepared.check(method.kernel, sigma if method.reads("sigma") else None, zscore)
     else:
         prepared = prepare_features(features, method.kernel, sigma, zscore)
     # before the O(N^3) kernel basis, which C < 1/N would waste
@@ -176,8 +175,8 @@ def fit_occ_model(
         "optimizer": method.optimizer,
         "d": int(d_used),
         "C": float(C),
-        "beta": float(beta),
-        "eta": float(eta),
+        "beta": None if beta is None else float(beta),
+        "eta": None if eta is None else float(eta),
         "k_max": int(k_max),
         "seed": int(seed),
         "sigma": prepared.sigma,

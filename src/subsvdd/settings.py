@@ -1,10 +1,18 @@
-"""The values a fit may be given: method names and the range of each setting.
+"""The values a fit or a run may be given: method names and the range of
+each setting.
 
 A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
-``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``. The numeric settings
-of a fit (C, d, beta, eta, sigma, k_max, seed) each have one range, in
-``RANGES``. Every value that reaches a fit, whether it comes as a CLI flag,
-an API argument, a grid list entry, a benchmark config key or a model file
+``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``; ``MethodSpec.reads``
+says which settings a method's fit reads. The numeric settings each have one
+range, in ``RANGES``:
+
+- the fit settings ``FIT_SETTINGS`` (C, d, beta, eta, sigma, k_max, seed);
+- the run settings of a benchmark or trace: ``repetitions``, ``k`` (the
+  cross-validation folds), ``train_frac``, ``splits`` and ``jobs``; the base
+  seed of a run, which each fit's seed is derived from, is a ``seed``.
+
+Every value that reaches a fit or a run, whether it comes as a CLI flag, an
+API argument, a grid list entry, a benchmark config key or a model file
 field, is tested with ``check_setting``. NaN, +-Inf and bools fail every test.
 """
 from __future__ import annotations
@@ -34,7 +42,14 @@ RANGES = {
     "sigma": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
     "k_max": (_INTEGER, lambda v: v >= 1, "a positive integer"),
     "seed": (_INTEGER, lambda v: v >= 0, "a non-negative integer"),
+    "repetitions": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "k": (_INTEGER, lambda v: v >= 2, "an integer of at least 2"),
+    "train_frac": (_REAL, lambda v: 0 < v < 1, "a number strictly between 0 and 1"),
+    "splits": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "jobs": (_INTEGER, lambda v: v >= 1, "a positive integer"),
 }
+# the settings of one fit; the rest of RANGES are run settings
+FIT_SETTINGS = ("C", "d", "beta", "eta", "sigma", "k_max", "seed")
 
 
 def check_setting(name, value):
@@ -67,6 +82,14 @@ class MethodSpec:
                 raise ValueError(f"psi must be one of {PSIS}, got {self.psi!r}")
             if self.direction not in DIRECTIONS:
                 raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+
+    def reads(self, name):
+        """Whether a fit of this method reads setting ``name``: plain SVDD
+        holds Q = I, so it reads no d, beta or eta, and the linear kernel
+        reads no sigma."""
+        if name in ("d", "beta", "eta"):
+            return self.family != "svdd"
+        return name != "sigma" or self.kernel == "rbf"
 
     @property
     def optimizer(self):

@@ -164,3 +164,41 @@ def kernel_vectors(x_new, kmap):
 def dist_sq(y, center):
     """Squared distance of every column of y to the center."""
     return ((y - center[:, None]) ** 2).sum(axis=0)
+
+
+def _grid_sort_key(point):
+    return tuple(-1.0 if point[k] is None else float(point[k]) for k in
+                 ("d", "C", "beta", "eta", "sigma"))
+
+
+def enumerate_grid_sorted(method, grid, input_dim):
+    """The grid points of ``method`` from unsorted candidate lists that may
+    repeat values: every combination, points equal as floats dropped after the
+    first, then sorted by (d, C, beta, eta, sigma). ``grid`` is any object with
+    the lists as attributes; it need not have sorted or de-duplicated them."""
+    sigmas = list(grid.sigma) if method.kernel == "rbf" else [None]
+    if method.family == "svdd":
+        points = [
+            {"d": None, "C": c, "beta": None, "eta": None, "sigma": s}
+            for c in grid.C
+            for s in sigmas
+        ]
+    else:
+        betas = [min(grid.beta)] if method.psi == 0 else list(grid.beta)
+        dims = [d for d in grid.d if method.kernel == "rbf" or d <= input_dim]
+        points = [
+            {"d": dd, "C": c, "beta": b, "eta": e, "sigma": s}
+            for dd in dims
+            for c in grid.C
+            for b in betas
+            for e in grid.eta
+            for s in sigmas
+        ]
+    seen = set()
+    unique = []
+    for p in points:
+        key = _grid_sort_key(p)
+        if key not in seen:
+            seen.add(key)
+            unique.append(p)
+    return sorted(unique, key=_grid_sort_key)

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsvdd import evaluate
 from subsvdd.data import DataSet
@@ -18,6 +22,8 @@ from subsvdd.evaluate import (
 )
 from subsvdd.data import make_occ_split
 from subsvdd.pipeline import MethodSpec, parse_method
+
+from oracles import enumerate_grid_sorted
 
 
 def blob_dataset(seed=0, n_target=40, n_out=36, name="blobs"):
@@ -94,6 +100,36 @@ class TestGridEnumeration:
         m = MethodSpec(family="ssvdd", kernel="linear", psi=1, direction="min")
         points = enumerate_grid(m, grid, input_dim=5)
         assert [p["C"] for p in points] == [0.1, 0.2]
+
+    def test_lists_are_held_sorted_keeping_the_first_of_equal_values(self):
+        grid = GridSpec(C=(0.5, 1, 0.1, 1.0), d=(np.int64(3), 1, 3), beta=(0.0, -0.0, 0))
+        assert grid.C == (0.1, 0.5, 1) and type(grid.C[2]) is int
+        assert grid.d == (1, 3) and type(grid.d[1]) is np.int64
+        assert len(grid.beta) == 1 and repr(grid.beta[0]) == "0.0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(method=st.sampled_from([MethodSpec("svdd", kernel) for kernel in ("linear", "rbf")] + [
+               MethodSpec(family, kernel, psi, direction)
+               for family in ("ssvdd", "nssvdd") for kernel in ("linear", "rbf")
+               for psi in (0, 2) for direction in ("min", "max")]),
+           input_dim=st.integers(1, 6), data=st.data())
+    def test_enumeration_matches_the_sorting_oracle(self, method, input_dim, data):
+        # lists out of order, with repeats, mixing equal ints, floats and numpy
+        # scalars: the report writes 1 and 1.0 differently, so types must agree
+        def grid_list(pool):
+            return tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+
+        reals = [1, 1.0, 2, 2.0, 0.5, np.float64(0.5), 0.25, 3, np.int64(3)]
+        lists = {"C": grid_list(reals), "sigma": grid_list(reals), "eta": grid_list(reals),
+                 "beta": grid_list(reals + [0, 0.0, -0.0]),
+                 "d": grid_list([1, 2, np.int64(2), 3, 5, np.int64(7), 8])}
+        got = enumerate_grid(method, GridSpec(**lists), input_dim)
+        want = enumerate_grid_sorted(method, SimpleNamespace(**lists), input_dim)
+
+        def typed(points):
+            return [[(k, type(v), repr(v)) for k, v in p.items()] for p in points]
+
+        assert typed(got) == typed(want)
 
 
 class TestGridSearch:

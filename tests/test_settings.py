@@ -1,5 +1,6 @@
-"""One range per fit setting: every entry point accepts and rejects the same
-values (``settings.RANGES``)."""
+"""One range per fit or run setting: every entry point accepts and rejects
+the same values (``settings.RANGES``)."""
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsvdd import pipeline
-from subsvdd.errors import SubsvddError
-from subsvdd.evaluate import GridSpec
+from subsvdd import evaluate, model_store, pipeline
+from subsvdd.cli import main, read_benchmark_config
+from subsvdd.data import DataSet, kfold, make_occ_split
+from subsvdd.errors import DataError, SubsvddError
+from subsvdd.evaluate import GridSpec, run_benchmark, trace_run
 from subsvdd.pipeline import fit_occ_model, parse_method, prepare_features
-from subsvdd.settings import RANGES, MethodSpec, check_setting
+from subsvdd.settings import FIT_SETTINGS, RANGES, MethodSpec, check_setting
 from subsvdd.subspace import TrainConfig
 
 X = np.random.default_rng(2).standard_normal((3, 12))
@@ -39,7 +42,7 @@ def _rejects(name, make):
     return False
 
 
-@pytest.mark.parametrize("name", sorted(RANGES))
+@pytest.mark.parametrize("name", sorted(FIT_SETTINGS))
 @settings(max_examples=60, deadline=None)
 @given(value=values)
 def test_every_entry_point_agrees_with_the_table(name, value):
@@ -108,3 +111,131 @@ def test_grid_message_names_the_list():
 def test_method_vocabulary(parts):
     with pytest.raises(ValueError):
         MethodSpec(*parts)
+
+
+@pytest.mark.parametrize("method, unread", [("svdd-linear", {"d", "beta", "eta", "sigma"}),
+                                            ("svdd-rbf", {"d", "beta", "eta"}),
+                                            ("ssvdd-linear-psi0-max", {"sigma"}),
+                                            ("nssvdd-rbf-psi2-min", set())])
+def test_reads(method, unread):
+    spec = parse_method(method)
+    assert {name for name in FIT_SETTINGS if not spec.reads(name)} == unread
+
+
+def test_unread_settings_may_be_left_out(tmp_path):
+    # plain SVDD reads no d, beta or eta: left out, they are not checked, and
+    # the file records none (d is the dimension of its Q = I); a read one may not be
+    model, _ = fit_occ_model(X, parse_method("svdd-linear"), C=0.3, d=None, beta=None, eta=None)
+    assert [model.config[name] for name in ("d", "beta", "eta", "sigma")] == [3, None, None, None]
+    model_store.save(model, tmp_path / "m.json")
+    assert model_store.load(tmp_path / "m.json").config == model.config
+    with pytest.raises(ValueError, match="^beta must be"):
+        fit_occ_model(X, parse_method("ssvdd-linear-psi1-min"), C=0.3, d=1, beta=None)
+
+
+# ---------------------------------------------------------------- run settings
+
+RUN_SETTINGS = ("repetitions", "k", "train_frac", "splits", "jobs")
+# a two-class set whose runs take milliseconds
+DS = DataSet(features=np.random.default_rng(3).standard_normal((2, 16)),
+             labels=np.array(["a", "b"] * 8, dtype=object), class_names=["a", "b"], name="two")
+# the run settings of a quick run, and the base seed; the drawn one replaces its own
+RUN = {"repetitions": 1, "seed": 3, "k": 2, "train_frac": 0.7, "jobs": 1, "splits": 1}
+run_values = st.one_of(st.booleans(), st.integers(-3, 4), st.floats(-0.5, 1.5),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0]))
+
+
+def test_the_run_settings_are_the_rest_of_the_table():
+    assert set(RANGES) == set(FIT_SETTINGS) | set(RUN_SETTINGS)
+
+
+def _api_entry_points(name, value):
+    """Each API call that takes run setting ``name`` (or the base seed), given
+    ``value``. The benchmark runs on no data, so a value in range costs nothing."""
+    run = {**RUN, name: value}
+    calls = {}
+    if name != "splits":
+        bench = {key: run[key] for key in ("repetitions", "seed", "k", "train_frac", "jobs")}
+        calls["run_benchmark"] = lambda: run_benchmark([], ["svdd-linear"], **bench)
+    if name in ("splits", "seed"):
+        calls["trace_run"] = lambda: trace_run(DS, "a", parse_method("svdd-linear"), {"C": 0.5},
+                                               seed=run["seed"], splits=run["splits"], k_max=1)
+    if name == "k":
+        calls["kfold"] = lambda: kfold(np.arange(8), value, 0)
+    if name == "train_frac":
+        calls["make_occ_split"] = lambda: make_occ_split(DS, "a", value, 0)
+    return calls
+
+
+@pytest.mark.parametrize("name", RUN_SETTINGS + ("seed",))
+@settings(max_examples=40, deadline=None)
+@given(value=run_values)
+def test_every_run_entry_point_agrees_with_the_table(name, value):
+    try:
+        check_setting(name, value)
+        expected = False
+    except ValueError:
+        expected = True
+    calls = _api_entry_points(name, value)
+    assert calls
+    for call, make in calls.items():
+        assert _rejects(name, make) == expected, call
+
+
+# run setting, its benchmark config key (None: no key sets it), a flag that
+# sets it (None: no flag), and values out of its range
+RUN_TABLE = [
+    ("repetitions", "repetitions", None, [0, -1]),
+    ("k", "kfolds", None, [1, 0]),
+    ("train_frac", "train_frac", None, [0, 1, 1.5, -0.0]),
+    ("splits", None, ["trace", "--splits"], [0, -2]),
+    ("jobs", None, ["benchmark", "--jobs"], [0, -2]),
+    ("seed", "seed", ["trace", "--seed"], [-1]),
+]
+CASES = [(name, key, flag, value) for name, key, flag, bad in RUN_TABLE for value in bad]
+
+
+def _write_data(tmp_path):
+    rows = [",".join(repr(float(v)) for v in col) + f",{label}"
+            for col, label in zip(DS.features.T, DS.labels)]
+    path = tmp_path / "two.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_config(tmp_path, **keys):
+    cfg = {"datasets": [{"path": str(_write_data(tmp_path))}], "methods": ["svdd-linear"],
+           "repetitions": 1, "kfolds": 2, "iters": 1, "grid": {"C": [0.5]}, **keys}
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, key, flag, value", CASES,
+                         ids=[f"{case[0]}={case[3]!r}" for case in CASES])
+def test_each_entry_point_rejects_a_run_setting_out_of_range(tmp_path, caplog, monkeypatch,
+                                                             name, key, flag, value):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran for a setting out of range")
+
+    monkeypatch.setattr(evaluate, "fit_occ_model", no_fit)
+    message = f"{name} must be {RANGES[name][2]}, got {value!r}"
+    for call, make in _api_entry_points(name, value).items():
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message, call
+    out = tmp_path / "out.csv"
+    if key is not None:
+        config = _write_config(tmp_path, **{key: value})
+        with pytest.raises(DataError) as exc:
+            read_benchmark_config(config)
+        assert str(exc.value) == f"benchmark config key {key!r}: {message}"
+        assert main(["benchmark", "--config", str(config), "--out-csv", str(out)]) == 2
+        assert caplog.records[-1].getMessage() == str(exc.value)
+    if flag is not None:
+        command, option = flag
+        data = ["--config", str(_write_config(tmp_path)), "--out-csv"] if command == "benchmark" \
+            else ["--data", str(_write_data(tmp_path)), "--target-class", "a", "--out"]
+        assert main([command, *data, str(out), option, str(value)]) == 1
+        assert caplog.records[-1].getMessage() == message
+    assert not out.exists()

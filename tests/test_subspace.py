@@ -6,8 +6,12 @@ import pytest
 
 from conftest import make_blobs
 from oracles import TooLarge, damped_pinv_factor, hessian_full, solve_damped
-from subsvdd.errors import DimensionMismatch, InfeasibleC
+from subsvdd import subspace
+from subsvdd.cli import main
+from subsvdd.errors import DegenerateSubspace, DimensionMismatch, InfeasibleC, RankDeficient
+from subsvdd.numerics import qr_orthonormalize_rows
 from subsvdd.subspace import (
+    MAX_REDRAWS,
     TrainConfig,
     build_lambda,
     gradient,
@@ -482,3 +486,48 @@ class TestTrain:
         t1 = [r.objective for r in train(x, base).trace]
         t2 = [r.objective for r in train(x, other).trace]
         assert t1 == t2
+
+
+class TestRedraw:
+    """Rows the QR flags as dependent are redrawn, at most MAX_REDRAWS times."""
+
+    @staticmethod
+    def _flag_rows(monkeypatch, rows, times):
+        """Make the QR flag ``rows`` on its first ``times`` calls; returns the
+        list of matrices it is handed."""
+        seen = []
+
+        def qr(m):
+            seen.append(np.array(m, copy=True))
+            if len(seen) <= times:
+                raise RankDeficient("flagged", rows=rows)
+            return qr_orthonormalize_rows(m)
+
+        monkeypatch.setattr(subspace, "qr_orthonormalize_rows", qr)
+        return seen
+
+    def test_only_the_flagged_row_is_redrawn(self, monkeypatch):
+        seen = self._flag_rows(monkeypatch, rows=[1], times=1)
+        q = init_projection(2, 4, np.random.default_rng(0))
+        gen = np.random.default_rng(0)
+        first = gen.standard_normal((2, 4))
+        assert len(seen) == 2 and seen[0].tobytes() == first.tobytes()
+        assert seen[1][0].tobytes() == first[0].tobytes()
+        assert seen[1][1].tobytes() == gen.standard_normal(4).tobytes()
+        assert q.tobytes() == qr_orthonormalize_rows(seen[1]).tobytes()
+
+    def test_a_subspace_that_stays_dependent_fails(self, monkeypatch):
+        seen = self._flag_rows(monkeypatch, rows=[0], times=MAX_REDRAWS + 1)
+        with pytest.raises(DegenerateSubspace, match=f"after {MAX_REDRAWS} redraws"):
+            init_projection(2, 4, np.random.default_rng(0))
+        assert len(seen) == MAX_REDRAWS + 1
+
+    def test_train_exits_3(self, monkeypatch, tmp_path):
+        self._flag_rows(monkeypatch, rows=[0], times=MAX_REDRAWS + 1)
+        target, _ = make_blobs(n_target=20, n_outlier=0, dim=3)
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(map(repr, col)) + ",t\n" for col in target.T.tolist()))
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--target-class", "t", "--out", str(out),
+                     "--dim", "2", "--iters", "3"])
+        assert code == 3 and not out.exists()
