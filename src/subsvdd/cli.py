@@ -161,7 +161,7 @@ def read_benchmark_config(path):
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not (isinstance(cfg, dict) and {"datasets", "methods"} <= set(cfg)):
         raise DataError(f"{path}: a benchmark config is an object with datasets and methods")

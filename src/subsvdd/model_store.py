@@ -1,21 +1,26 @@
 """Serialization of trained models and the standalone prediction path.
 
-Models are stored as JSON (format_version 4) with matrices as nested
-row-major lists. Python's float repr round-trips IEEE doubles exactly, so a
-save/load cycle reproduces predictions bit for bit. A file holds what
-prediction reads, the config and scaling, the map W, the center and radius,
-plus alpha, and no value that ``load`` can recompute from these.
+Models are stored as one JSON document (format_version 5). The config,
+alpha, the radius and sigma are plain JSON; each dense float array (a linear
+model's Q, an rbf model's W and training inputs, and the center) is one
+base64 string of its little-endian IEEE doubles ("<f8") in row-major order.
+The file stores no shapes: ``load`` takes them from ``config.d`` and the
+length of alpha. A save/load cycle reproduces predictions bit for bit, since
+the bytes are the doubles themselves. A file holds what prediction reads,
+the config and scaling, the map W, the center and radius, plus alpha, and no
+value that ``load`` can recompute from these.
 
 Every model predicts the same way: the input features (z-scored raw inputs,
 and for rbf models their centered kernel vectors against the training set)
 are multiplied by W and thresholded at the radius. A linear model's W is Q.
 An rbf model's W is the d x N product Q A_r^{-1/2} U_r' of the subspace and
 the kernel eigenmap, so its file holds W, sigma and the training inputs, and
-no U_r, eigenvalues, Q or kernel row means. Format 1 to 3 files still load
-(see ``load``).
+no U_r, eigenvalues, Q or kernel row means. Format 1 to 4 files, which store
+the arrays as nested JSON lists, still load (see ``load``).
 """
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +39,7 @@ from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspa
 from .settings import FIT_SETTINGS, MethodSpec, check_setting
 from .svdd import FEASIBILITY_SLACK, AlphaVector, DataDescription, decide_batch, support_sets
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 DESCRIPTION_KEYS = ("alpha", "center", "radius_sq")
 
@@ -87,8 +92,9 @@ def _check_config(cfg):
         method = MethodSpec(cfg["method"], cfg["kernel"], cfg["psi"], cfg["direction"])
         for name in FIT_SETTINGS:
             # a fit records no value for a setting its method does not read
-            # and was not given (a linear fit's sigma); any value recorded is checked
-            if cfg[name] is not None or method.reads(name):
+            # and was not given (a linear fit's sigma); any value recorded is
+            # checked, and so is d, the rows of W, which every fit records
+            if cfg[name] is not None or method.reads(name) or name == "d":
                 check_setting(name, cfg[name])
     except ValueError as exc:
         raise SchemaError(f"config: {exc}") from None
@@ -172,7 +178,7 @@ def _input_dim(model: TrainedModel):
 
 
 def save(model: TrainedModel, path):
-    """Write the model as a format_version 4 JSON document."""
+    """Write the model as a format_version 5 JSON document."""
     _check_config(model.config)
     _check_model(model)
     desc = model.description
@@ -181,22 +187,27 @@ def save(model: TrainedModel, path):
         "config": {k: model.config[k] for k in CONFIG_KEYS},
     }
     if model.npt is None:
-        payload["Q"] = model.w.tolist()
+        payload["Q"] = _encoded(model.w)
     payload["description"] = {
         "alpha": desc.alpha.alpha.tolist(),
-        "center": desc.center.tolist(),
+        "center": _encoded(desc.center),
         "radius_sq": desc.radius_sq,
     }
     if model.npt is not None:
         payload["npt"] = {
-            "W": model.w.tolist(),
+            "W": _encoded(model.w),
             "sigma": model.npt.sigma,
-            "train_X": model.npt.train_x.tolist(),
+            "train_X": _encoded(model.npt.train_x),
         }
     # json.dump streams through the pure-Python encoder; one dumps call uses
     # the C encoder and gives the same bytes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload) + "\n")
+
+
+def _encoded(a):
+    """The base64 text of ``a``'s little-endian doubles in row-major order."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _fields(obj, name, keys):
@@ -213,17 +224,54 @@ def _array(obj, key, ndim):
     """A JSON number (ndim 0), list (1) or list of lists (2) of finite floats.
 
     The kind of the array numpy builds from ``obj`` rejects strings ("U"),
-    booleans ("b") and nulls ("O") in one test, with no pass over the entries
-    in Python. A boolean mixed among numbers still passes, as 0 or 1.
+    booleans ("b") and nulls ("O"); a boolean among numbers, which numpy reads
+    as 1 or 0, is caught by a test of each entry.
     """
     try:
         a = np.asarray(obj)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.dtype.kind not in "iuf" or a.ndim != ndim or not np.isfinite(a).all():
+    if (a is None or a.dtype.kind not in "iuf" or a.ndim != ndim or not np.isfinite(a).all()
+            or _holds_bool(obj, ndim)):
         shape = ("number", "vector", "matrix")[ndim]
         raise SchemaError(f"field {key!r} must be a {shape} of finite values")
     return a.astype(np.float64, copy=False)
+
+
+def _holds_bool(obj, ndim):
+    """Whether a list (ndim 1) or list of lists (2) of numbers holds a boolean."""
+    rows = obj if ndim == 2 else [obj] if ndim == 1 else []
+    return any(bool in map(type, row) for row in rows)
+
+
+def _decoded(obj, key, shape):
+    """The array of ``shape`` a format 5 field encodes, with -1 standing for
+    the one extent its length gives: ``obj`` must be base64 text of finite
+    little-endian doubles in row-major order, at least one. Returns a
+    writable, native-endian, C-ordered float64 copy."""
+    a = None
+    if isinstance(obj, str):
+        # each raises a ValueError: b64decode off the alphabet (binascii.Error)
+        # or beyond ASCII, frombuffer for a partial double, reshape for a
+        # length the shape does not fit
+        try:
+            a = np.frombuffer(base64.b64decode(obj, validate=True), dtype="<f8").reshape(shape)
+        except ValueError:
+            pass
+    if a is None or not a.size:
+        dims = " x ".join("n" if n == -1 else str(n) for n in shape)
+        raise SchemaError(f"field {key!r} must be base64 text of a {dims} array of doubles")
+    if not np.isfinite(a).all():
+        raise SchemaError(f"field {key!r} must hold finite values")
+    return a.astype(np.float64)
+
+
+def _dense(version, obj, key, shape):
+    """A dense array field of a file of ``version``: base64 text in format 5
+    (``_decoded``), nested lists (``_array``) before."""
+    if version == FORMAT_VERSION:
+        return _decoded(obj, key, shape)
+    return _array(obj, key, len(shape))
 
 
 def _old_rbf_map(payload, n_raw):
@@ -243,6 +291,11 @@ def _old_rbf_map(payload, n_raw):
 def load(path) -> TrainedModel:
     """Read and validate a model file; invariants are re-checked.
 
+    A format 5 file's dense arrays are decoded by ``_decoded``, with the
+    shapes ``config.d`` and the length N of alpha give: d rows for ``Q``,
+    ``W`` and ``center``, N columns for ``train_X``. Older files store them
+    as lists (``_array``).
+
     The support-vector index sets come from alpha and C (``support_sets``).
     An rbf model's training kernel is built once: its row means centre new
     kernel vectors, and it gives the W K_hat W' = I check. A format 1 or 2
@@ -251,36 +304,37 @@ def load(path) -> TrainedModel:
     format 1's ``Y_train``, ``npt.Phi`` and ``npt.K_train`` are ignored.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    # json.loads decodes the UTF-8 bytes itself, faster than a text-mode read
+    try:
+        payload = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     _fields(payload, f"{path}: top level", ())
     version = payload.get("format_version")
     # type(): True == 1 and 3.0 == 3, but neither is a JSON integer
-    if type(version) is not int or version not in (1, 2, 3, FORMAT_VERSION):
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise VersionError(f"unknown format_version {version!r}")
     _fields(payload, "model file", ("config", "description"))
     cfg = _check_config(payload["config"])
     d_raw = _fields(payload["description"], "description", DESCRIPTION_KEYS)
     alpha = AlphaVector(_array(d_raw["alpha"], "alpha", 1), float(cfg["C"]))
-    desc = DataDescription(alpha, _array(d_raw["center"], "center", 1),
+    d, n = cfg["d"], alpha.alpha.shape[0]
+    desc = DataDescription(alpha, _dense(version, d_raw["center"], "center", (d,)),
                            float(_array(d_raw["radius_sq"], "radius_sq", 0)),
                            *support_sets(alpha))
     npt = k = None
     if "npt" in payload:
         n_raw = _fields(payload["npt"], "npt block", ("sigma", "train_X"))
         if version >= 3:
-            w = _array(_fields(n_raw, "npt block", ("W",))["W"], "W", 2)
+            w = _dense(version, _fields(n_raw, "npt block", ("W",))["W"], "W", (d, -1))
         else:
             w = _old_rbf_map(payload, _fields(n_raw, "npt block", ("U_r", "eigvals_r")))
         sigma = float(_array(n_raw["sigma"], "sigma", 0))
-        train_x = _array(n_raw["train_X"], "train_X", 2)
-        k = _training_kernel(w, sigma, train_x, alpha.alpha.shape[0])
+        train_x = _dense(version, n_raw["train_X"], "train_X", (-1, n))
+        k = _training_kernel(w, sigma, train_x, n)
         npt = KernelMap(k_row_mean=k.mean(axis=1), sigma=sigma, train_x=train_x)
     else:
-        w = _array(_fields(payload, "model file", ("Q",))["Q"], "Q", 2)
+        w = _dense(version, _fields(payload, "model file", ("Q",))["Q"], "Q", (d, -1))
     model = TrainedModel(config=cfg, w=w, description=desc, npt=npt)
     _check_model(model, k)
     return model

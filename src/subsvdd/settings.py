@@ -13,7 +13,8 @@ range, in ``RANGES``:
 
 Every value that reaches a fit or a run, whether it comes as a CLI flag, an
 API argument, a grid list entry, a benchmark config key or a model file
-field, is tested with ``check_setting``. NaN, +-Inf and bools fail every test.
+field, is tested with ``check_setting``. NaN, +-Inf and bools fail every test,
+and no integer setting exceeds ``INT_MAX`` = 2**63 - 1.
 """
 from __future__ import annotations
 
@@ -31,22 +32,25 @@ DIRECTIONS = ("min", "max")
 
 _INTEGER = (int, np.integer)
 _REAL = (int, float, np.integer, np.floating)
+# integer settings end at the largest int64, so each fits a numpy integer
+# array and converts to a float
+INT_MAX = 2**63 - 1
 
 # setting -> (types, test, what its values must be); a bool is of no type
 # here, and NaN and +-Inf fail every test
 RANGES = {
     "C": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
-    "d": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "d": (_INTEGER, lambda v: 1 <= v <= INT_MAX, "a positive integer up to 2**63 - 1"),
     "beta": (_REAL, lambda v: 0 <= v < math.inf, "a non-negative finite number"),
     "eta": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
     "sigma": (_REAL, lambda v: 0 < v < math.inf, "a positive finite number"),
-    "k_max": (_INTEGER, lambda v: v >= 1, "a positive integer"),
-    "seed": (_INTEGER, lambda v: v >= 0, "a non-negative integer"),
-    "repetitions": (_INTEGER, lambda v: v >= 1, "a positive integer"),
-    "k": (_INTEGER, lambda v: v >= 2, "an integer of at least 2"),
+    "k_max": (_INTEGER, lambda v: 1 <= v <= INT_MAX, "a positive integer up to 2**63 - 1"),
+    "seed": (_INTEGER, lambda v: 0 <= v <= INT_MAX, "a non-negative integer up to 2**63 - 1"),
+    "repetitions": (_INTEGER, lambda v: 1 <= v <= INT_MAX, "a positive integer up to 2**63 - 1"),
+    "k": (_INTEGER, lambda v: 2 <= v <= INT_MAX, "an integer of at least 2, up to 2**63 - 1"),
     "train_frac": (_REAL, lambda v: 0 < v < 1, "a number strictly between 0 and 1"),
-    "splits": (_INTEGER, lambda v: v >= 1, "a positive integer"),
-    "jobs": (_INTEGER, lambda v: v >= 1, "a positive integer"),
+    "splits": (_INTEGER, lambda v: 1 <= v <= INT_MAX, "a positive integer up to 2**63 - 1"),
+    "jobs": (_INTEGER, lambda v: 1 <= v <= INT_MAX, "a positive integer up to 2**63 - 1"),
 }
 # the settings of one fit; the rest of RANGES are run settings
 FIT_SETTINGS = ("C", "d", "beta", "eta", "sigma", "k_max", "seed")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stored_array
 from subsvdd import evaluate, model_store
 from subsvdd.cli import main, read_benchmark_config
 from subsvdd.data import load_csv
@@ -47,7 +48,7 @@ class TestTrainCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        q = np.asarray(payload["Q"])
+        q = stored_array(payload, "Q")
         assert q.shape == (4, 4)
         np.testing.assert_allclose(q, np.eye(4))
 
@@ -62,7 +63,7 @@ class TestTrainCommand:
              "--iters", "3"]
         )
         assert code == 0
-        q = np.asarray(json.loads(out.read_text())["Q"])
+        q = stored_array(json.loads(out.read_text()), "Q")
         expected = init_projection(1, 2, np.random.default_rng(42))
         np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
 
@@ -308,6 +309,13 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_integer_python_will_not_parse_exits_2(self, tmp_path):
+        # json reads no integer of over 4300 digits; 10**400 is a range error
+        text = self._config(tmp_path).read_text().replace('"d": [2]', '"d": [' + "1" * 5000 + "]")
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv")]) == 2
+
     @pytest.mark.parametrize(
         "change, key",
         [
@@ -336,6 +344,8 @@ class TestBenchmarkCommand:
             ({"grid": {"C": [float("nan")]}}, "C"),
             ({"grid": {"beta": [True]}}, "beta"),
             ({"iters": 1.5}, "iters"),
+            # float(10**400) overflows; the range test stops it first
+            ({"grid": {"d": [10**400]}}, "d"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, caplog, change, key):

@@ -1,11 +1,16 @@
+import base64
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import make_blobs
+from conftest import make_blobs, store_array, stored_array
 from subsvdd.cli import main
 from subsvdd.data import load_features_csv
 from subsvdd.errors import (
@@ -15,7 +20,7 @@ from subsvdd.errors import (
     VersionError,
 )
 from subsvdd.metrics import confusion_from_labels, gmean
-from subsvdd.model_store import CONFIG_KEYS, load, predict, save
+from subsvdd.model_store import CONFIG_KEYS, _decoded, _encoded, load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
 
@@ -23,6 +28,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FORMAT1 = FIXTURES / "format1"
 FORMAT2 = FIXTURES / "format2"
 FORMAT3 = FIXTURES / "format3"
+FORMAT4 = FIXTURES / "format4"
+TRAIN = FIXTURES / "train"
+# the model files of tests/fixtures/train, also kept in format 4
+TRAIN_MODELS = ["nssvdd_linear", "nssvdd_rbf", "svdd_rbf"]
 LINEAR_KEYS = {"format_version", "config", "Q", "description"}
 RBF_KEYS = {"format_version", "config", "description", "npt"}
 DESCRIPTION_KEYS = {"alpha", "center", "radius_sq"}
@@ -127,7 +136,7 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         assert set(payload) == LINEAR_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
-        assert payload["format_version"] == 4
+        assert payload["format_version"] == 5
 
     def test_rbf_model_has_npt_block(self, tmp_path):
         model = rbf_model()
@@ -137,8 +146,8 @@ class TestRoundTrip:
         assert set(payload) == RBF_KEYS
         assert set(payload["description"]) == DESCRIPTION_KEYS
         assert set(payload["npt"]) == {"W", "sigma", "train_X"}
-        assert payload["format_version"] == 4
-        assert np.array_equal(payload["npt"]["W"], model.w)
+        assert payload["format_version"] == 5
+        assert stored_array(payload, "npt", "W").tobytes() == model.w.tobytes()
         assert model.w.shape == (3, 30) and model.w.flags["C_CONTIGUOUS"]
 
     def test_fitted_rbf_map_composes_q_and_the_eigenmap(self):
@@ -175,6 +184,22 @@ class TestRoundTrip:
         for before, after in zip(predict(model, probes), predict(loaded, probes)):
             assert before.tobytes() == after.tobytes()
 
+    @settings(max_examples=30, deadline=None)
+    @given(method=st.sampled_from(FAMILY_KERNELS), seed=st.integers(0, 2**32 - 1),
+           zscore=st.booleans(), spread=st.sampled_from([0.1, 1.0, 30.0]))
+    def test_saved_and_loaded_predictions_bit_identical(self, method, seed, zscore, spread):
+        gen = np.random.default_rng(seed)
+        target = gen.standard_normal((4, 25)) * spread
+        model, _ = fit_occ_model(target, parse_method(method), C=0.1, d=2, sigma=2.0 * spread,
+                                 k_max=3, seed=seed, zscore=zscore)
+        probes = gen.standard_normal((4, 30)) * 2.0 * spread
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            save(model, path)
+            loaded = load(path)
+        for before, after in zip(predict(model, probes), predict(loaded, probes)):
+            assert before.tobytes() == after.tobytes()
+
     def test_resave_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         save(rbf_model(), first)
@@ -202,11 +227,7 @@ class TestLoadValidation:
             load(path)
 
     def test_non_orthonormal_q_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        save(linear_model(), path)
-        payload = json.loads(path.read_text())
-        payload["Q"][0][0] += 0.5
-        path.write_text(json.dumps(payload))
+        path = _edited(tmp_path, linear_model(), _edit_array("Q", change=_shift_first_entry))
         with pytest.raises(InvariantViolation, match="orthonormal"):
             load(path)
 
@@ -274,26 +295,60 @@ def _as_strings(*keys):
     return edit
 
 
-def _scale_w_row(payload):
-    payload["npt"]["W"][0] = [v * (1.0 + 1e-6) for v in payload["npt"]["W"][0]]
+def _edit_array(*keys, change):
+    """An edit of a format-5 file: decode the array at ``keys``, apply
+    ``change`` (which edits it in place, or returns the new array) and encode
+    the result in its place."""
+    def edit(payload):
+        a = stored_array(payload, *keys)
+        changed = change(a)
+        store_array(payload, keys, a if changed is None else changed)
+
+    return edit
 
 
-def _swap_train_columns(payload):
-    for row in payload["npt"]["train_X"]:
-        row[0], row[1] = row[1], row[0]
+def _put(*keys, at, value):
+    """An edit of a format-5 file that sets entry ``at`` of the array at ``keys``."""
+    def change(a):
+        a[at] = value
+
+    return _edit_array(*keys, change=change)
 
 
-def _shift_train_entry(payload):
-    payload["npt"]["train_X"][0][0] += 0.5
+def _shift_first_entry(a):
+    a[0, 0] += 0.5
 
 
-def _drop_w_column(payload):
-    for row in payload["npt"]["W"]:
-        row.pop()
+def _scale_first_row(a):
+    a[0] *= 1.0 + 1e-6
+
+
+def _swap_first_columns(a):
+    a[:, [0, 1]] = a[:, [1, 0]]
+
+
+def _drop_last_column(a):
+    return a[:, :-1]
+
+
+def _edit_bytes(*keys, change):
+    """An edit of a format-5 file that applies ``change`` to the raw bytes the
+    base64 text at ``keys`` encodes and writes the result back as base64."""
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        raw = base64.b64decode(payload[keys[-1]])
+        payload[keys[-1]] = base64.b64encode(change(raw)).decode("ascii")
+
+    return edit
 
 
 MODELS = {"linear": linear_model, "linear-zscore": lambda: linear_model(zscore=True),
-          "rbf": rbf_model}
+          "rbf": rbf_model,
+          "svdd": lambda: fit_occ_model(make_blobs()[0], parse_method("svdd-linear"), C=0.2)[0],
+          # the train fixtures in format 4, whose arrays are nested JSON lists
+          "format4-linear": lambda: FORMAT4 / "nssvdd_linear.json",
+          "format4-rbf": lambda: FORMAT4 / "nssvdd_rbf.json"}
 # (id, model, edit): files whose config no fit writes, or whose alpha is off
 # the simplex capped at C
 NOT_FROM_A_FIT = [
@@ -305,6 +360,8 @@ NOT_FROM_A_FIT = [
     ("optimizer-gradient", "linear", _set("config", "optimizer", "gradient")),
     ("d-7", "linear", _set("config", "d", 7)),
     ("d-float", "linear", _set("config", "d", 2.0)),
+    # plain SVDD reads no d, but Q's rows are d; in format 5 they are decoded by it
+    ("svdd-d-null", "svdd", _set("config", "d", None)),
     ("C-negative", "linear", _set("config", "C", -1)),
     ("beta-negative", "linear", _set("config", "beta", -1.0)),
     ("eta-zero", "linear", _set("config", "eta", 0)),
@@ -326,8 +383,8 @@ class TestLoadRejectsMalformedFields:
     @pytest.mark.parametrize(
         "edit",
         [
-            _set("Q", 0, 0, float("nan")),
-            _set("description", "center", 0, float("nan")),
+            _put("Q", at=(0, 0), value=float("nan")),
+            _put("description", "center", at=0, value=float("nan")),
             _set("description", "radius_sq", float("nan")),
             _set("description", "radius_sq", float("inf")),
             _set("description", "alpha", 0, float("-inf")),
@@ -342,8 +399,8 @@ class TestLoadRejectsMalformedFields:
         "edit",
         [
             _set("npt", "sigma", float("nan")),
-            _set("npt", "W", 0, 0, float("inf")),
-            _set("npt", "train_X", 0, 0, float("nan")),
+            _put("npt", "W", at=(0, 0), value=float("inf")),
+            _put("npt", "train_X", at=(0, 0), value=float("nan")),
             _set("npt", "sigma", None),
         ],
         ids=["sigma-nan", "W-inf", "train_X-nan", "sigma-null"],
@@ -373,30 +430,49 @@ class TestLoadRejectsMalformedFields:
         with pytest.raises(SchemaError):
             load(_edited(tmp_path, linear_model(zscore=True), edit))
 
+    # the arrays a format-5 file encodes are lists in formats 1 to 4, so a
+    # string or boolean among their entries is tested on the format-4 files
     @pytest.mark.parametrize("source, edit", [
+        ("format4-linear", _as_strings("Q", "description")),
         ("linear", _as_strings("Q", "description")),
-        ("linear", _set("Q", 0, 0, "0.5")),
-        ("linear", _set("description", "center", 0, "0.5")),
+        ("format4-linear", _set("Q", 0, 0, "0.5")),
+        ("format4-linear", _set("description", "center", 0, "0.5")),
         ("linear", _set("description", "radius_sq", "0.5")),
         ("linear", _set("description", "radius_sq", True)),
-        ("linear", _set("description", "center", [False] * 2)),
+        ("format4-linear", _set("description", "center", [False] * 2)),
         ("linear-zscore", _set("config", "scaling", "mean", ["0.0"] * 5)),
+        ("format4-rbf", _as_strings("npt")),
         ("rbf", _as_strings("npt")),
         ("rbf", _set("npt", "sigma", "3.0")),
         ("rbf", _set("npt", "sigma", True)),
-    ], ids=["linear-all-str", "Q-str", "center-str", "radius_sq-str", "radius_sq-true",
-            "center-bool", "scaling-str", "rbf-all-str", "sigma-str", "sigma-true"])
+        ("linear", _set("description", "alpha", 1, True)),
+        ("linear-zscore", _set("config", "scaling", "std", 2, True)),
+        ("format4-linear", _set("Q", 1, 0, True)),
+        ("format4-rbf", _set("npt", "train_X", 0, 3, False)),
+    ], ids=["format4-linear-all-str", "linear-all-str", "Q-str", "center-str", "radius_sq-str",
+            "radius_sq-true", "center-bool", "scaling-str", "format4-rbf-all-str",
+            "rbf-all-str", "sigma-str", "sigma-true", "alpha-true-among-numbers",
+            "scaling-std-true", "format4-Q-row-true", "format4-train_X-false"])
     def test_number_written_as_another_type(self, tmp_path, source, edit):
         path = _edited(tmp_path, MODELS[source](), edit)
         with pytest.raises(SchemaError, match="finite values"):
             load(path)
 
     def test_alpha_longer_than_the_training_points(self, tmp_path):
+        # in format 5 the length of alpha gives train_X its columns, and a
+        # longer alpha does not divide train_X's length
+        def edit(payload):
+            payload["description"]["alpha"].append(0.0)
+
+        with pytest.raises(SchemaError, match="train_X"):
+            load(_edited(tmp_path, rbf_model(), edit))
+
+    def test_alpha_longer_than_the_format4_training_points(self, tmp_path):
         def edit(payload):
             payload["description"]["alpha"].append(0.0)
 
         with pytest.raises(InvariantViolation, match="npt block"):
-            load(_edited(tmp_path, rbf_model(), edit))
+            load(_edited(tmp_path, MODELS["format4-rbf"](), edit))
 
     @pytest.mark.parametrize(
         "edit, fixture",
@@ -412,12 +488,12 @@ class TestLoadRejectsMalformedFields:
     @pytest.mark.parametrize(
         "edit",
         [
-            _set("npt", "W", 0, 0, float("nan")),
-            _scale_w_row,
+            _put("npt", "W", at=(0, 0), value=float("nan")),
+            _edit_array("npt", "W", change=_scale_first_row),
             _set("npt", "sigma", 3.3),
-            _swap_train_columns,
-            _drop_w_column,
-            _shift_train_entry,
+            _edit_array("npt", "train_X", change=_swap_first_columns),
+            _edit_array("npt", "W", change=_drop_last_column),
+            _edit_array("npt", "train_X", change=_shift_first_entry),
         ],
         ids=["W-nan", "W-row-scaled", "sigma-changed", "train_X-swapped", "W-short",
              "train_X-shifted"],
@@ -427,7 +503,7 @@ class TestLoadRejectsMalformedFields:
             load(_edited(tmp_path, rbf_model(), edit))
 
     def test_corrupt_rbf_map_exits_2(self, tmp_path):
-        path = _edited(tmp_path, rbf_model(), _scale_w_row)
+        path = _edited(tmp_path, rbf_model(), _edit_array("npt", "W", change=_scale_first_row))
         probes = tmp_path / "probes.csv"
         probes.write_text("0,0,0,0,0\n")
         assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
@@ -457,12 +533,61 @@ class TestLoadRejectsMalformedFields:
         assert not (tmp_path / "m.json").exists()
 
     def test_training_inputs_of_wrong_length(self, tmp_path):
+        # a format-5 train_X one column short is test_format5_field's
+        # "train_X-short"; its length then does not divide by N
         def edit(payload):
             for row in payload["npt"]["train_X"]:
                 row.pop()
 
         with pytest.raises(InvariantViolation, match="npt block"):
-            load(_edited(tmp_path, rbf_model(), edit))
+            load(_edited(tmp_path, MODELS["format4-rbf"](), edit))
+
+    @pytest.mark.parametrize("source, edit", [
+        # without validate=True, b64decode would drop the "!" and decode the rest
+        ("linear", lambda payload: payload.update(Q=payload["Q"][:4] + "!" + payload["Q"][4:])),
+        ("linear", _set("Q", "0.5")),
+        ("linear", _set("description", "center", "é" * 4)),
+        ("linear", _set("Q", "")),
+        ("linear", _edit_bytes("Q", change=lambda raw: raw[:-1])),
+        ("linear", _edit_bytes("Q", change=lambda raw: raw[:-8])),
+        ("linear", _edit_bytes("description", "center", change=lambda raw: raw + raw[:8])),
+        ("rbf", _edit_bytes("npt", "W", change=lambda raw: raw[:-8])),
+        ("rbf", _edit_array("npt", "train_X", change=_drop_last_column)),
+        ("rbf", _edit_bytes("npt", "train_X", change=lambda raw: raw + raw[:8])),
+        ("linear", _set("Q", [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])),
+        ("linear", _set("description", "center", [0.0, 0.0])),
+        ("linear", _set("Q", 0.5)),
+        ("linear", _set("Q", None)),
+        ("rbf", lambda payload: payload["npt"].update(W=stored_array(payload, "npt", "W").tolist())),
+        ("rbf", lambda payload: payload["npt"].update(
+            train_X=stored_array(payload, "npt", "train_X").tolist())),
+    ], ids=["char-outside-alphabet", "decimal-text", "non-ascii", "empty",
+            "not-whole-doubles", "Q-short-of-a-row", "center-too-long", "W-short-of-a-row",
+            "train_X-short", "train_X-long", "Q-list", "center-list", "Q-number", "Q-null",
+            "W-list", "train_X-list"])
+    def test_format5_field(self, tmp_path, source, edit):
+        # each must be base64 text of whole doubles whose count fits d or N
+        path = _edited(tmp_path, MODELS[source](), edit)
+        with pytest.raises(SchemaError, match="base64 text"):
+            load(path)
+        probes = tmp_path / "probes.csv"
+        probes.write_text("0,0,0,0,0\n")
+        assert main(["predict", "--model", str(path), "--data", str(probes)]) == 2
+
+    @pytest.mark.parametrize("bits", [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000,
+                                      0x7FFFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000],
+                             ids=["quiet-nan", "signalling-nan", "negative-nan", "nan-all-ones",
+                                  "inf", "minus-inf"])
+    @pytest.mark.parametrize("source, keys", [
+        ("linear", ("Q",)), ("linear", ("description", "center")),
+        ("rbf", ("npt", "W")), ("rbf", ("npt", "train_X")),
+    ], ids=["Q", "center", "W", "train_X"])
+    def test_format5_non_finite_bits(self, tmp_path, bits, source, keys):
+        pattern = bits.to_bytes(8, "little")
+        path = _edited(tmp_path, MODELS[source](),
+                       _edit_bytes(*keys, change=lambda raw: raw[:8] + pattern + raw[16:]))
+        with pytest.raises(SchemaError, match="finite"):
+            load(path)
 
 
 def _read_predictions(path):
@@ -491,7 +616,7 @@ def _assert_resaved_predicts_the_same(tmp_path, old_path, kind):
     path = tmp_path / "m.json"
     save(old, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 4
+    assert payload["format_version"] == 5
     assert set(payload) == (RBF_KEYS if kind == "rbf" else LINEAR_KEYS)
     assert tuple(payload["config"]) == CONFIG_KEYS
     probes = load_features_csv(FORMAT1 / "probes.csv")
@@ -512,7 +637,7 @@ class TestFormat1:
         _assert_same_predictions(out, FORMAT1 / "rbf_predictions_format1_code.csv")
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_resaved_as_format4_predicts_the_same(self, tmp_path, kind):
+    def test_saved_again_predicts_the_same(self, tmp_path, kind):
         _assert_resaved_predicts_the_same(tmp_path, FORMAT1 / f"{kind}.json", kind)
 
 
@@ -529,7 +654,7 @@ class TestFormat2:
         _assert_same_predictions(out, FORMAT2 / "rbf_predictions.csv")
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_resaved_as_format4_predicts_the_same(self, tmp_path, kind):
+    def test_saved_again_predicts_the_same(self, tmp_path, kind):
         _assert_resaved_predicts_the_same(tmp_path, FORMAT2 / f"{kind}.json", kind)
 
 
@@ -559,6 +684,79 @@ class TestFormat3:
         edited = _edited(tmp_path, FORMAT3 / "rbf.json", edit)
         out = _predict_file(tmp_path, edited)
         assert out.read_bytes() == (FORMAT3 / "rbf_predictions.csv").read_bytes()
+
+
+class TestFormat4:
+    """Format-4 files: the train fixtures as format 4 wrote them (see
+    fixtures/format4/README.md), and their predictions."""
+
+    @pytest.mark.parametrize("name", TRAIN_MODELS)
+    def test_predictions_byte_identical(self, tmp_path, name):
+        out = _predict_file(tmp_path, FORMAT4 / f"{name}.json")
+        assert out.read_bytes() == (FORMAT4 / f"{name}_predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", TRAIN_MODELS)
+    def test_saved_again_as_format5_predicts_the_same(self, tmp_path, name):
+        kind = "linear" if "linear" in name else "rbf"
+        _assert_resaved_predicts_the_same(tmp_path, FORMAT4 / f"{name}.json", kind)
+
+    @pytest.mark.parametrize("name", TRAIN_MODELS)
+    def test_train_fixture_decodes_to_the_format4_lists(self, name):
+        # the format-5 train fixtures hold the same fit as their format-4
+        # copies: every field equal, every encoded double the same bits
+        old = json.loads((FORMAT4 / f"{name}.json").read_text())
+        new = json.loads((TRAIN / f"{name}.json").read_text())
+        assert (old.pop("format_version"), new.pop("format_version")) == (4, 5)
+        keys = [("Q",), ("description", "center"), ("npt", "W"), ("npt", "train_X")]
+        keys = [k for k in keys if k[0] in new]
+        assert len(keys) == (2 if name == "nssvdd_linear" else 3)
+        for k in keys:
+            want = np.array(_field(old, k), dtype=np.float64)
+            assert stored_array(new, *k).tobytes() == want.tobytes()
+            _drop(old, k)
+            _drop(new, k)
+        assert new == old
+
+
+def _field(payload, keys):
+    for key in keys:
+        payload = payload[key]
+    return payload
+
+
+def _drop(payload, keys):
+    del _field(payload, keys[:-1])[keys[-1]]
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(a=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=FINITE),
+           big_endian=st.booleans(), fortran=st.booleans())
+    def test_round_trip_bit_exact(self, a, big_endian, fortran):
+        source = a.astype(">f8") if big_endian else a
+        source = np.asfortranarray(source) if fortran else source
+        text = _encoded(source)
+        assert text == _encoded(a)
+        got = _decoded(text, "A", (a.shape[0], -1))
+        assert got.tobytes() == a.tobytes()
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags["C_CONTIGUOUS"] and got.flags["WRITEABLE"] and got.flags["OWNDATA"]
+        by_columns = _decoded(text, "A", (-1, a.shape[1]))
+        assert by_columns.tobytes() == a.tobytes()
+
+    def test_little_endian_row_major(self):
+        # 1.0 is 3ff0 0000 0000 0000; little-endian puts its zero bytes first
+        text = _encoded(np.array([[1.0, 2.0], [-0.0, 0.5]]))
+        raw = base64.b64decode(text)
+        assert raw == (b"\0" * 6 + b"\xf0\x3f" + b"\0" * 7 + b"\x40"
+                       + b"\0" * 7 + b"\x80" + b"\0" * 6 + b"\xe0\x3f")
 
 
 class TestPredict:

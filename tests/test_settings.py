@@ -74,6 +74,29 @@ def test_out_of_range(name, value):
         check_setting(name, value)
 
 
+INTEGER_SETTINGS = ("d", "k_max", "seed", "repetitions", "k", "splits", "jobs")
+
+
+@pytest.mark.parametrize("name", INTEGER_SETTINGS)
+def test_integer_settings_end_at_the_largest_int64(name):
+    check_setting(name, 2**63 - 1)
+    check_setting(name, np.int64(2**63 - 1))
+    for value in (2**63, 10**400):
+        with pytest.raises(ValueError, match=f"^{name} must be .* up to 2\\*\\*63 - 1, got"):
+            check_setting(name, value)
+
+
+def test_the_integer_settings_are_the_integer_ranges():
+    assert {name for name, (types, _, _) in RANGES.items() if float not in types} == set(
+        INTEGER_SETTINGS)
+
+
+def test_grid_rejects_an_integer_no_float_holds():
+    # float(10**400) overflows: the range test must come first
+    with pytest.raises(ValueError, match=r"^grid list 'd': d must be"):
+        GridSpec(d=(2, 10**400))
+
+
 @pytest.mark.parametrize("name, value", [("d", np.int64(3)), ("C", np.float32(0.5)),
                                          ("beta", 0), ("seed", 0), ("sigma", 1e300)])
 def test_in_range(name, value):
