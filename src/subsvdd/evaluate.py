@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import DataSet, OccSplit, kfold, make_occ_split
-from .errors import SubsvddError
+from .errors import DataError, SubsvddError
 from .metrics import ConfusionCounts, confusion_from_labels, gmean
 from .model_store import predict
 from .pipeline import fit_occ_model, prepare_features
@@ -125,6 +125,15 @@ def enumerate_grid(method: MethodSpec, grid: GridSpec, input_dim):
     return [dict(zip(GRID_ORDER, values)) for values in itertools.product(*lists.values())]
 
 
+def _grid_points(ds: DataSet, method: MethodSpec, grid: GridSpec):
+    """``enumerate_grid`` on ``ds``; DataError when it has no point (every d > D)."""
+    points = enumerate_grid(method, grid, ds.n_features)
+    if not points:
+        raise DataError(f"dataset {ds.name!r}: no grid point for {method}: every d in "
+                        f"{list(grid.d)} exceeds its {ds.n_features} features")
+    return points
+
+
 def _fit(features, method, point, seed, **options):
     """``fit_occ_model`` on one hyperparameter point. Its ``None`` entries
     (hyperparameters the method does not use) are left out, so they take
@@ -156,10 +165,11 @@ def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec
     features replace it, so one basis is held at a time. A point's score is
     its mean over the folds, in fold order. Ties go to the smallest (d, C,
     beta, eta, sigma) in lexicographic order because candidates are scanned
-    in that order and only strict improvements replace the incumbent.
+    in that order and only strict improvements replace the incumbent. A
+    grid with no point for the method raises DataError.
     """
+    points = _grid_points(ds, method, grid)
     folds = kfold(split.train_all, k, seed)
-    points = enumerate_grid(method, grid, ds.n_features)
     by_sigma = {}
     for i, point in enumerate(points):
         by_sigma.setdefault(point["sigma"], []).append(i)
@@ -312,12 +322,16 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
 
     ``options`` go to every ``fit_occ_model`` call unchanged. Each run
     setting (and the base ``seed``) must lie in its range in
-    ``settings.RANGES``, or ValueError is raised before any cell runs.
+    ``settings.RANGES``, or ValueError is raised before any cell runs, and
+    so is DataError for a (dataset, method) the grid has no point for.
     """
     for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k),
                         ("train_frac", train_frac), ("jobs", jobs)):
         check_setting(name, value)
     specs = [parse_method(m) for m in methods]
+    grid = grid or GridSpec()
+    for ds, method in itertools.product(datasets, specs):
+        _grid_points(ds, method, grid)
     cells = [
         (ds, target, method, rep)
         for ds in datasets
@@ -326,8 +340,7 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
         for rep in range(repetitions)
     ]
     run_cell = functools.partial(_bench_cell, options=options, base_seed=seed,
-                                 grid=grid or GridSpec(), k=k, train_frac=train_frac,
-                                 timing=timing)
+                                 grid=grid, k=k, train_frac=train_frac, timing=timing)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_cell, cells, chunksize=1))

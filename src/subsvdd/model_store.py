@@ -36,7 +36,7 @@ from .errors import (
     VersionError,
 )
 from .kernel import KernelMap, center_kernel, kernel_vectors, rbf_kernel, subspace_map
-from .settings import FIT_SETTINGS, MethodSpec, check_setting
+from .settings import FIT_SETTINGS, MethodSpec, check_setting, check_settings
 from .svdd import FEASIBILITY_SLACK, AlphaVector, DataDescription, decide_batch, support_sets
 
 FORMAT_VERSION = 5
@@ -90,12 +90,9 @@ def _check_config(cfg):
     cfg = _fields(cfg, "config", CONFIG_KEYS)
     try:
         method = MethodSpec(cfg["method"], cfg["kernel"], cfg["psi"], cfg["direction"])
-        for name in FIT_SETTINGS:
-            # a fit records no value for a setting its method does not read
-            # and was not given (a linear fit's sigma); any value recorded is
-            # checked, and so is d, the rows of W, which every fit records
-            if cfg[name] is not None or method.reads(name) or name == "d":
-                check_setting(name, cfg[name])
+        # every fit records d, the rows of W, though plain SVDD reads none
+        check_settings(method, {name: cfg[name] for name in FIT_SETTINGS})
+        check_setting("d", cfg["d"])
     except ValueError as exc:
         raise SchemaError(f"config: {exc}") from None
     if cfg["optimizer"] != method.optimizer:

@@ -1,10 +1,8 @@
 """End-to-end fitting: scaling, kernel basis, training, bundling.
 
-Every method family (see ``settings``) is fitted by ``subspace.train`` in the
-(possibly kernel-induced) feature space: plain SVDD is the fit with Q = I
-held fixed (psi0, k_max = 1, so no update runs), and the subspace families
-run the iterative optimizer. The family only picks the training
-configuration.
+Every method (see ``settings``) is fitted by ``subspace.train`` in the
+(possibly kernel-induced) feature space, and decides the fit: plain SVDD is
+one pass at Q = I, the subspace families run the iterative optimizer.
 
 A fit runs in two steps. ``prepare_features`` z-scores the raw training
 columns (when asked) and, for rbf kernels, holds the kernel basis of their
@@ -15,6 +13,7 @@ one O(N^3) basis; grid search does so per (fold, sigma).
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -58,21 +57,24 @@ class PreparedFeatures:
             self._npt = build_npt(self.scaled, self.sigma)
         return self._npt
 
-    def check(self, kernel, sigma, zscore):
-        """Raise ValueError unless a fit with this kernel, sigma (None for the
-        linear kernel) and scaling may run on these features."""
-        given, held = (kernel, sigma, bool(zscore)), (self.kernel, self.sigma, self.zscore)
-        if given != held:
-            raise ValueError(f"features prepared for (kernel, sigma, zscore) = {held}, "
-                             f"not {given}")
-
 
 def prepare_features(x_raw, kernel, sigma=None, zscore=False):
     """The D x N block of raw training columns ``x_raw`` made ready for fits
     with this kernel, sigma and scaling (see ``PreparedFeatures``). The
     columns are copied, so a later write to ``x_raw`` cannot reach the basis
     built on first use. A column holding NaN or Inf raises DataError. The
-    linear kernel takes no sigma: one given is checked, then held as None."""
+    linear kernel takes no sigma: one given is checked, then held as None. A
+    ``PreparedFeatures`` given as ``x_raw`` is returned itself, once sigma is
+    checked and it matches this kernel, sigma and scaling (else ValueError)."""
+    if kernel == "rbf" or sigma is not None:
+        check_setting("sigma", sigma)
+    given = (kernel, float(sigma) if kernel == "rbf" else None, bool(zscore))
+    if isinstance(x_raw, PreparedFeatures):
+        held = (x_raw.kernel, x_raw.sigma, x_raw.zscore)
+        if given != held:
+            raise ValueError(f"features prepared for (kernel, sigma, zscore) = {held}, "
+                             f"not {given}")
+        return x_raw
     x_mat = np.array(x_raw, dtype=np.float64)
     if x_mat.ndim != 2:
         raise DimensionMismatch("training features must be a D x N matrix")
@@ -81,49 +83,24 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
         raise DataError(f"training columns {bad.tolist()} hold NaN or Inf")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    if kernel == "rbf" or sigma is not None:
-        check_setting("sigma", sigma)
-    return PreparedFeatures(x_mat, kernel, float(sigma) if kernel == "rbf" else None,
-                            bool(zscore))
+    return PreparedFeatures(x_mat, *given)
 
 
-def fit_occ_model(
-    features,
-    method: MethodSpec,
-    *,
-    C,
-    d=None,
-    beta=1.0,
-    eta=0.01,
-    sigma=None,
-    k_max=100,
-    seed=42,
-    zscore=False,
-    eval_data=None,
-):
+def fit_occ_model(features, method: MethodSpec, *, C, d=None, beta=1.0, eta=0.01, sigma=None,
+                  k_max=100, seed=42, zscore=False, eval_data=None):
     """Fit one model on target-class training columns.
 
-    ``features`` is either a D x N block of raw columns, prepared here, or
-    what ``prepare_features`` made of one; a prepared object must match the
-    method's kernel, ``sigma`` and ``zscore``, or ValueError is raised. So
-    must each setting its range in ``settings.RANGES``, before any work.
-    ``eval_data`` is an optional (X_eval, is_target) pair in the raw input
-    space; when given, each iteration of the trace carries the Gmean of the
-    current model on it, scored as ``predict`` scores it. Returns
-    (TrainedModel, trace).
+    ``features`` is a D x N block of raw columns or what ``prepare_features``
+    made of one, for the method's kernel, ``sigma`` and ``zscore``. Each
+    setting must lie in its range in ``settings.RANGES``, before any work,
+    unless the method does not read it (``MethodSpec.reads``) and it is left
+    out: the fit then records none. ``eval_data`` is an optional (X_eval,
+    is_target) pair in the raw input space; when given, each iteration of the
+    trace carries the Gmean of the current model on it, scored as ``predict``
+    scores it. Returns (TrainedModel, trace).
     """
-    given = {"C": C, "d": d, "beta": beta, "eta": eta, "sigma": sigma, "k_max": k_max,
-             "seed": seed}
-    # a setting the method does not read (MethodSpec.reads) may be left out:
-    # it is then not checked, and the fit records none
-    for name, value in given.items():
-        if value is not None or method.reads(name):
-            check_setting(name, value)
-    if isinstance(features, PreparedFeatures):
-        prepared = features
-        prepared.check(method.kernel, sigma if method.reads("sigma") else None, zscore)
-    else:
-        prepared = prepare_features(features, method.kernel, sigma, zscore)
+    cfg = TrainConfig(method, C, d=d, beta=beta, eta=eta, k_max=k_max, seed=seed)
+    prepared = prepare_features(features, method.kernel, sigma, zscore)
     # before the O(N^3) kernel basis, which C < 1/N would waste
     check_feasible_c(C, prepared.n)
     scaling, npt = prepared.scaling, prepared.npt
@@ -141,31 +118,10 @@ def fit_occ_model(
             _, pos = decide_batch(prediction_map(q) @ x_eval_work, desc)
             return gmean(confusion_from_labels(is_target, pos))
 
-    feat_dim = work.shape[0]
-    if method.family == "svdd":
-        d_used, q0 = feat_dim, np.eye(feat_dim)
-        cfg = TrainConfig(d=d_used, C=C, reg_kind="psi0", k_max=1)
-    else:
-        d_used, q0 = d, None
-        if method.kernel == "rbf" and d_used > feat_dim:
-            log.warning(
-                "requested d=%d exceeds retained kernel rank %d; clamping",
-                d_used,
-                feat_dim,
-            )
-            d_used = feat_dim
-        cfg = TrainConfig(
-            d=d_used,
-            C=C,
-            beta=beta,
-            eta=eta,
-            reg_kind=f"psi{method.psi}",
-            direction=method.direction,
-            optimizer=method.optimizer,
-            k_max=k_max,
-            seed=seed,
-        )
-    fit = train(work, cfg, eval_fn=eval_fn, q0=q0)
+    if npt is not None and method.reads("d") and d > len(work):
+        log.warning("requested d=%d exceeds retained kernel rank %d; clamping", d, len(work))
+        cfg = dataclasses.replace(cfg, d=len(work))
+    fit = train(work, cfg, eval_fn=eval_fn)
 
     config = {
         "method": method.family,
@@ -173,7 +129,7 @@ def fit_occ_model(
         "psi": method.psi,
         "direction": method.direction,
         "optimizer": method.optimizer,
-        "d": int(d_used),
+        "d": len(fit.q),
         "C": float(C),
         "beta": None if beta is None else float(beta),
         "eta": None if eta is None else float(eta),

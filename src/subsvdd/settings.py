@@ -3,8 +3,8 @@ each setting.
 
 A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
 ``ssvdd-rbf-psi1-max`` or ``nssvdd-linear-psi2-min``; ``MethodSpec.reads``
-says which settings a method's fit reads. The numeric settings each have one
-range, in ``RANGES``:
+says which settings a method's fit reads, and ``check_settings`` tests those
+and any other given. The numeric settings each have one range, in ``RANGES``:
 
 - the fit settings ``FIT_SETTINGS`` (C, d, beta, eta, sigma, k_max, seed);
 - the run settings of a benchmark or trace: ``repetitions``, ``k`` (the
@@ -61,6 +61,14 @@ def check_setting(name, value):
     types, test, what = RANGES[name]
     if isinstance(value, bool) or not isinstance(value, types) or not test(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_settings(method, values):
+    """Raise ValueError unless each setting in ``values`` (name -> value) that
+    was given (not None) or that ``method`` reads lies in its range."""
+    for name, value in values.items():
+        if value is not None or method.reads(name):
+            check_setting(name, value)
 
 
 @dataclass(frozen=True)

@@ -48,18 +48,18 @@ the solution independent of where the origin lies. Their Gram matrix has
 rank at most d and is never formed: the solver works from the N x d rows.
 The objective's SVDD part is likewise formed on projections centered at Y a.
 The center (Y a) and the regularizers use the projections as they are: Psi
-depends on the origin by definition. Plain SVDD is this fit with Q = I held
-fixed (k_max = 1), so its dual receives the D x N features' transpose.
+depends on the origin by definition. Plain SVDD is one pass of ``train`` at
+Q = I, so its dual receives the D x N features' transpose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateSubspace, DimensionMismatch, RankDeficient
 from .numerics import qr_orthonormalize_rows, sym_eig
-from .settings import DIRECTIONS, OPTIMIZER_OF, PSIS, check_setting
+from .settings import MethodSpec, check_settings
 from .svdd import (
     AlphaVector,
     DataDescription,
@@ -69,8 +69,6 @@ from .svdd import (
     support_sets,
 )
 
-REG_KINDS = tuple(f"psi{k}" for k in PSIS)
-OPTIMIZERS = tuple(o for o in OPTIMIZER_OF.values() if o is not None)
 # eigenvalues of B at or below this fraction of the largest are dropped
 EIG_REL_TOL = 1e-10
 MAX_REDRAWS = 3  # redraws of dependent rows of Q before a fit fails
@@ -78,25 +76,19 @@ MAX_REDRAWS = 3  # redraws of dependent rows of Q before a fit fails
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All knobs of one training run. ``seed`` drives the Q initialization."""
+    """All knobs of one training run: the method and its settings, of which
+    one it does not read may be None. ``seed`` drives the Q initialization."""
 
-    d: int
+    method: MethodSpec
     C: float
-    beta: float = 1.0
-    eta: float = 0.01
-    reg_kind: str = "psi2"
-    direction: str = "min"
-    optimizer: str = "newton"
+    d: int | None = None
+    beta: float | None = 1.0
+    eta: float | None = 0.01
     k_max: int = 100
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("d", "C", "beta", "eta", "k_max", "seed"):
-            check_setting(name, getattr(self, name))
-        for name, allowed in (("reg_kind", REG_KINDS), ("direction", DIRECTIONS),
-                              ("optimizer", OPTIMIZERS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        check_settings(self.method, {n: v for n, v in vars(self).items() if n != "method"})
 
 
 @dataclass(frozen=True)
@@ -128,18 +120,18 @@ def project(q, x):
     return q_mat @ x_mat
 
 
-def build_lambda(kind, alpha: AlphaVector):
-    """Per-sample weights of the regularizer ``kind`` for the given alpha.
+def build_lambda(psi, alpha: AlphaVector):
+    """Per-sample weights of the regularizer psi``psi`` for the given alpha.
 
-    psi0 weighs nothing, psi1 every sample, psi2 each sample by a_i and psi3
-    only the boundary support vectors of ``support_sets``, by a_i.
+    psi0 and None (plain SVDD) weigh nothing, psi1 every sample, psi2 each
+    sample by a_i and psi3 only the boundary support vectors, by a_i.
     """
     a = alpha.alpha
-    if kind == "psi0":
+    if psi in (None, 0):
         return np.zeros_like(a)
-    if kind == "psi1":
+    if psi == 1:
         return np.ones_like(a)
-    if kind == "psi2":
+    if psi == 2:
         return a.copy()
     _, boundary = support_sets(alpha)
     lam = np.zeros_like(a)
@@ -250,11 +242,11 @@ def update_step(q, block, cfg: TrainConfig):
     The newton optimizer moves Q along ``newton_step``, the gradient
     optimizer along ``gradient``: Q - eta * step for ``min``, + for ``max``.
     """
-    if cfg.optimizer == "newton":
+    if cfg.method.optimizer == "newton":
         step = newton_step(q, block, cfg.beta)
     else:
         step = gradient(q, block, cfg.beta)
-    sign = -1.0 if cfg.direction == "min" else 1.0
+    sign = -1.0 if cfg.method.direction == "min" else 1.0
     return q + sign * cfg.eta * step
 
 
@@ -269,9 +261,8 @@ def _orthonormalize_with_recovery(q_raw, rng):
         try:
             return qr_orthonormalize_rows(attempt)
         except RankDeficient as exc:
-            rows = exc.rows if exc.rows else range(attempt.shape[0])
             attempt = attempt.copy()
-            for r in rows:
+            for r in exc.rows:
                 attempt[r] = rng.standard_normal(attempt.shape[1])
     try:
         return qr_orthonormalize_rows(attempt)
@@ -295,7 +286,7 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     current subspace and, when ``eval_fn`` is given, its score); while
     k < k_max it then updates Q. So k_max = 1 performs no update and
     describes the randomly initialized subspace, and the final row belongs
-    to the returned model.
+    to the returned model. Plain SVDD holds Q = I for one pass (no draw, no QR).
 
     ``eval_fn(q, desc) -> float`` may be attached to score each
     iteration's model on held-out data. ``q0`` overrides the seeded random
@@ -307,12 +298,17 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
     big_d, n = x_mat.shape
     if n < 2:
         raise DimensionMismatch("need at least 2 training samples")
+    plain = cfg.method.optimizer is None
+    if plain:  # one pass at Q = I; lam is zero, so beta (maybe None) weighs nothing
+        cfg = replace(cfg, d=big_d, beta=0.0, k_max=1)
     if cfg.d > big_d:
         raise DimensionMismatch(f"subspace dimension {cfg.d} exceeds data dimension {big_d}")
     check_feasible_c(cfg.C, n)
 
     rng = np.random.default_rng(cfg.seed)
-    if q0 is None:
+    if plain:
+        q = np.eye(big_d)
+    elif q0 is None:
         q = init_projection(cfg.d, big_d, rng)
     else:
         q = _orthonormalize_with_recovery(np.asarray(q0, dtype=np.float64), rng)
@@ -323,7 +319,7 @@ def train(x, cfg: TrainConfig, eval_fn=None, q0=None):
         y = project(q, x_mat)
         alpha = solve_dual(y.T, cfg.C, alpha0=warm)
         warm = alpha.alpha
-        lam = build_lambda(cfg.reg_kind, alpha)
+        lam = build_lambda(cfg.method.psi, alpha)
         desc = describe(alpha, y) if eval_fn is not None or k == cfg.k_max else None
         score = None if eval_fn is None else eval_fn(q, desc)
         orth = float(np.abs(q @ q.T - np.eye(cfg.d)).max())

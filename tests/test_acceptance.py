@@ -42,7 +42,7 @@ def report(line):
 
 def test_criterion_1_gradient_matches_finite_differences():
     t0 = time.perf_counter()
-    kinds = ("psi0", "psi1", "psi2", "psi3")
+    kinds = (0, 1, 2, 3)
     betas = (0.1, 1.0, 10.0)
     worst = 0.0
     for i in range(50):
@@ -76,7 +76,7 @@ def test_criterion_2_hessian_structure_and_curvature():
         assert d * big_d <= 200
         beta = (0.1, 1.0, 10.0)[i % 3]
         q, x, alpha, lam = random_instance(
-            seed=2000 + i, d=d, big_d=big_d, n=n, reg=("psi1", "psi2")[i % 2], beta=beta
+            seed=2000 + i, d=d, big_d=big_d, n=n, reg=(1, 2)[i % 2], beta=beta
         )
         b = core_matrix(x, alpha.alpha, lam)
         full = hessian_full(x, alpha.alpha, lam, d=d)
@@ -103,14 +103,15 @@ def test_criterion_3_newton_degeneracy_identity():
     worst = 0.0
     for seed in range(10):
         q, x, alpha, lam = random_instance(
-            seed=3000 + seed, d=2, big_d=4, n=14, reg="psi2", beta=1.0, c=0.15
+            seed=3000 + seed, d=2, big_d=4, n=14, reg=2, beta=1.0, c=0.15
         )
         block = support_block(x, alpha.alpha, lam)
         m = hessian_core(block)
         assert np.linalg.matrix_rank(m) == m.shape[0]
         eta = 0.07
         for direction, scale in (("min", 1 - eta), ("max", 1 + eta)):
-            cfg = TrainConfig(d=2, C=0.15, beta=1.0, eta=eta, direction=direction)
+            cfg = TrainConfig(MethodSpec("nssvdd", "linear", 2, direction), d=2, C=0.15,
+                              beta=1.0, eta=eta)
             raw = update_step(q, block, cfg)
             dev = np.abs(raw - scale * q).max()
             worst = max(worst, dev)
@@ -179,10 +180,11 @@ def test_criterion_6_projection_orthonormal_every_iteration():
     worst = 0.0
     for optimizer in ("gradient", "newton"):
         for direction in ("min", "max"):
-            for psi in ("psi0", "psi1", "psi2", "psi3"):
+            for psi in (0, 1, 2, 3):
+                family = {"gradient": "ssvdd", "newton": "nssvdd"}[optimizer]
                 cfg = TrainConfig(
-                    d=3, C=0.2, beta=10.0, eta=0.01, reg_kind=psi,
-                    direction=direction, optimizer=optimizer, k_max=8, seed=5,
+                    MethodSpec(family, "linear", psi, direction),
+                    d=3, C=0.2, beta=10.0, eta=0.01, k_max=8, seed=5,
                 )
                 fit = train(x, cfg)
                 worst = max(worst, max(t.orth_error for t in fit.trace))

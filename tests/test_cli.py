@@ -309,6 +309,16 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--config", str(p), "--out-csv", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_grid_with_no_usable_d_exits_2(self, tmp_path, caplog):
+        # the blobs have 4 features: a linear subspace method has no grid point
+        text = self._config(tmp_path).read_text().replace('"d": [2]', '"d": [5, 6]')
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", "--config", str(p), "--out-csv", str(out)]) == 2
+        assert "no grid point for nssvdd-linear-psi2-min" in caplog.records[-1].getMessage()
+        assert not out.exists()
+
     def test_integer_python_will_not_parse_exits_2(self, tmp_path):
         # json reads no integer of over 4300 digits; 10**400 is a range error
         text = self._config(tmp_path).read_text().replace('"d": [2]', '"d": [' + "1" * 5000 + "]")

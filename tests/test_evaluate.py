@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subsvdd import evaluate
 from subsvdd.data import DataSet
-from subsvdd.errors import NoNegatives, NoPositives
+from subsvdd.errors import DataError, NoNegatives, NoPositives
 from subsvdd.evaluate import (
     BenchmarkReport,
     ConfusionCounts,
@@ -173,6 +173,22 @@ class TestGridSearch:
         point, score = grid_search(ds, split, m, grid, k=3, seed=5, k_max=2)
         assert score == 0.0
         assert point["C"] == 0.01
+
+    def test_a_grid_with_no_usable_d_raises(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran on a grid with no point")
+
+        monkeypatch.setattr(evaluate, "fit_occ_model", no_fit)
+        ds = blob_dataset()
+        split = make_occ_split(ds, "pos", 0.7, seed=3)
+        m = parse_method("nssvdd-linear-psi2-min")
+        message = r"^dataset 'blobs': no grid point for nssvdd-linear-psi2-min: every d in " \
+                  r"\[3, 5\] exceeds its 2 features$"
+        with pytest.raises(DataError, match=message):
+            grid_search(ds, split, m, GridSpec(d=(5, 3)), k=3, seed=5)
+        # before the first cell, the svdd cells included
+        with pytest.raises(DataError, match=message):
+            run_benchmark([ds], ["svdd-linear", str(m)], repetitions=1, grid=GridSpec(d=(5, 3)))
 
 
 class TestBenchmark:

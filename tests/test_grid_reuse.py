@@ -95,6 +95,21 @@ class TestMismatch:
             fit_occ_model(prepared, parse_method(method), C=0.2, sigma=fit_sigma,
                           zscore=fit_zscore)
 
+    @pytest.mark.parametrize("kernel, sigma, zscore", [("linear", None, False),
+                                                       ("linear", None, True),
+                                                       ("rbf", 1.5, False)])
+    def test_prepared_features_are_returned_themselves(self, x, kernel, sigma, zscore):
+        prepared = prepare_features(x, kernel, sigma, zscore)
+        assert prepare_features(prepared, kernel, sigma, zscore) is prepared
+        other = "linear" if kernel == "rbf" else "rbf"
+        for given in [(other, 1.5, zscore), (kernel, sigma, not zscore)]:
+            with pytest.raises(ValueError, match=r"^features prepared for \(kernel, sigma, "
+                                                 r"zscore\) = .*, not "):
+                prepare_features(prepared, *given)
+        # sigma is checked first, whatever the features were prepared for
+        with pytest.raises(ValueError, match="^sigma must be"):
+            prepare_features(prepared, kernel, -1.0, zscore)
+
     def test_sigma_is_ignored_for_linear(self, x):
         prepared = prepare_features(x, "linear")
         assert_same_fit(fit_occ_model(prepared, parse_method("svdd-linear"), C=0.2, sigma=4.0),

@@ -151,11 +151,13 @@ class TestPipelineComposition:
     def test_nonlinear_training_runs_linear_machinery_on_phi(self, rng):
         # explicit feature map then the untouched linear path: the subspace
         # trainer sees Phi exactly as it would see raw linear features
+        from subsvdd.settings import parse_method
         from subsvdd.subspace import TrainConfig, train
 
         x = rng.standard_normal((4, 20))
         basis = build_npt(x, 1.5)
-        cfg = TrainConfig(d=2, C=0.3, k_max=3, seed=5)
+        cfg = TrainConfig(parse_method("nssvdd-linear-psi2-min"), d=2, C=0.3, k_max=3,
+                          seed=5)
         fit_on_phi = train(basis.phi, cfg)
         assert fit_on_phi.q.shape == (2, basis.eigvals_r.size)
         assert max(t.orth_error for t in fit_on_phi.trace) <= 1e-10

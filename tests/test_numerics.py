@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsvdd.errors import DimensionMismatch, NotSymmetric, RankDeficient
 from oracles import damped_pinv_factor, solve_damped
@@ -63,6 +65,31 @@ class TestQrOrthonormalizeRows:
         with pytest.raises(RankDeficient) as exc:
             qr_orthonormalize_rows(m)
         assert 1 in exc.value.rows
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 4), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "zero", "copy", "sum"]), min_size=4,
+                          max_size=4))
+    def test_every_rank_deficiency_names_its_rows(self, d, extra, seed, kinds):
+        # rows that are zero, a scaled copy or a sum of earlier rows; each
+        # RankDeficient must name at least one row of the matrix, for the
+        # caller redraws exactly the rows it names
+        gen = np.random.default_rng(seed)
+        m = gen.standard_normal((d, d + extra))
+        for i, kind in enumerate(kinds[:d]):
+            if kind == "zero":
+                m[i] = 0.0
+            elif kind == "copy" and i:
+                m[i] = -3.0 * m[gen.integers(i)]
+            elif kind == "sum" and i:
+                m[i] = m[:i].sum(axis=0)
+        for case in (m, np.zeros_like(m)):
+            try:
+                qr_orthonormalize_rows(case)
+            except RankDeficient as exc:
+                assert exc.rows and set(exc.rows) <= set(range(d)), exc.rows
+            else:
+                assert np.linalg.matrix_rank(case) == d
 
     def test_wide_requirement(self):
         with pytest.raises(DimensionMismatch):

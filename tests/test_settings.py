@@ -22,6 +22,7 @@ X = np.random.default_rng(2).standard_normal((3, 12))
 FIT = {"C": 0.3, "d": 1, "beta": 1.0, "eta": 0.01, "sigma": 2.0, "k_max": 2, "seed": 5}
 GRID_LISTS = ("beta", "C", "sigma", "d", "eta")
 TRAIN_FIELDS = ("d", "C", "beta", "eta", "k_max", "seed")
+PLAIN = parse_method("svdd-linear")
 
 values = st.one_of(st.booleans(), st.integers(-3, 40),
                    st.floats(allow_nan=True, allow_infinity=True),
@@ -55,7 +56,12 @@ def test_every_entry_point_agrees_with_the_table(name, value):
     assert _rejects(name, lambda: fit_occ_model(X, method, **{**FIT, name: value})) == expected
     if name in TRAIN_FIELDS:
         fields = {key: FIT[key] for key in TRAIN_FIELDS}
-        assert _rejects(name, lambda: TrainConfig(**{**fields, name: value})) == expected
+        # a value given is checked whether or not the method reads it
+        for spec in (method, PLAIN):
+            assert _rejects(name, lambda: TrainConfig(spec, **{**fields, name: value})) == expected
+        if not PLAIN.reads(name):
+            # plain SVDD reads no d, beta or eta: left out, each is not checked
+            assert TrainConfig(PLAIN, **{**fields, name: None}).method is PLAIN
     if name in GRID_LISTS:
         assert _rejects(name, lambda: GridSpec(**{name: (value,)})) == expected
 

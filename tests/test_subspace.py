@@ -10,6 +10,7 @@ from subsvdd import subspace
 from subsvdd.cli import main
 from subsvdd.errors import DegenerateSubspace, DimensionMismatch, InfeasibleC, RankDeficient
 from subsvdd.numerics import qr_orthonormalize_rows
+from subsvdd.settings import parse_method
 from subsvdd.subspace import (
     MAX_REDRAWS,
     TrainConfig,
@@ -26,8 +27,12 @@ from subsvdd.subspace import (
 )
 from subsvdd.svdd import AlphaVector, decide_batch, solve_dual
 
+# TrainConfig's old defaults: psi2, min, the newton optimizer
+NEWTON = parse_method("nssvdd-linear-psi2-min")
+GRADIENT = parse_method("ssvdd-linear-psi2-min")
 
-def random_instance(seed, d=2, big_d=4, n=6, reg="psi2", beta=1.0, c=None):
+
+def random_instance(seed, d=2, big_d=4, n=6, reg=2, beta=1.0, c=None):
     """Seeded problem: orthonormal Q, data, a feasible alpha, its lambda."""
     gen = np.random.default_rng(seed)
     q = init_projection(d, big_d, gen)
@@ -119,24 +124,24 @@ class TestProject:
 class TestBuildLambda:
     def test_psi1_all_ones(self):
         av = AlphaVector(alpha=np.array([0.2, 0.3, 0.5]), C=1.0)
-        np.testing.assert_allclose(build_lambda("psi1", av), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(build_lambda(1, av), [1.0, 1.0, 1.0])
 
     def test_psi0_zeros(self):
         av = AlphaVector(alpha=np.array([0.2, 0.8]), C=1.0)
-        np.testing.assert_allclose(build_lambda("psi0", av), [0.0, 0.0])
+        np.testing.assert_allclose(build_lambda(0, av), [0.0, 0.0])
 
     def test_psi2_copies_alpha(self):
         av = AlphaVector(alpha=np.array([0.25, 0.75]), C=1.0)
-        np.testing.assert_allclose(build_lambda("psi2", av), av.alpha)
+        np.testing.assert_allclose(build_lambda(2, av), av.alpha)
 
     def test_psi3_bound_alphas_are_dropped(self):
         # both nonzero alphas sit exactly at the bound C, so lambda vanishes
         av = AlphaVector(alpha=np.array([0.0, 0.5, 0.5]), C=0.5)
-        np.testing.assert_allclose(build_lambda("psi3", av), [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(build_lambda(3, av), [0.0, 0.0, 0.0])
 
     def test_psi3_keeps_interior_alphas(self):
         av = AlphaVector(alpha=np.array([0.0, 0.3, 0.7]), C=0.8)
-        np.testing.assert_allclose(build_lambda("psi3", av), [0.0, 0.3, 0.7])
+        np.testing.assert_allclose(build_lambda(3, av), [0.0, 0.3, 0.7])
 
 
 class TestObjective:
@@ -152,7 +157,7 @@ class TestObjective:
 
     def test_matches_literal_summation(self):
         for seed in range(5):
-            q, x, alpha, lam = random_instance(seed, reg="psi2", beta=1.7)
+            q, x, alpha, lam = random_instance(seed, reg=2, beta=1.7)
             fast = objective(q @ x, alpha.alpha, lam, 1.7)
             slow = objective_by_summation(q, x, alpha.alpha, lam, 1.7)
             assert fast == pytest.approx(slow, abs=1e-10 * (1 + abs(slow)))
@@ -171,10 +176,10 @@ class TestGradient:
         g = gradient(q, support_block(x, np.array([1.0]), np.array([0.0])), 0.0)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("reg", ["psi0", "psi1", "psi2", "psi3"])
+    @pytest.mark.parametrize("reg", [0, 1, 2, 3], ids=lambda psi: f"psi{psi}")
     @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
     def test_matches_finite_differences(self, reg, beta):
-        q, x, alpha, lam = random_instance(hash((reg, beta)) % 1000, reg=reg, beta=beta)
+        q, x, alpha, lam = random_instance(hash((f"psi{reg}", beta)) % 1000, reg=reg, beta=beta)
         g = gradient(q, support_block(x, alpha.alpha, lam), beta)
         fd = fd_gradient(q, x, alpha.alpha, lam, beta)
         denom = max(np.linalg.norm(fd), 1e-12)
@@ -224,7 +229,7 @@ class TestHessian:
 class TestUpdateStep:
     def test_eta_tiny_keeps_q_up_to_sign(self):
         q, x, alpha, lam = random_instance(5)
-        cfg = TrainConfig(d=2, C=0.4, eta=1e-300, optimizer="gradient", k_max=2)
+        cfg = TrainConfig(GRADIENT, d=2, C=0.4, eta=1e-300, k_max=2)
         new = update_step(q, support_block(x, alpha.alpha, lam), cfg)
         np.testing.assert_allclose(np.abs(new), np.abs(q), atol=1e-10)
 
@@ -239,9 +244,10 @@ class TestUpdateStep:
             m = hessian_core(block)
             assert np.linalg.matrix_rank(m) == 4
             eta = 0.05
-            cfg = TrainConfig(d=2, C=0.15, beta=1.0, eta=eta)
+            cfg = TrainConfig(NEWTON, d=2, C=0.15, beta=1.0, eta=eta)
             raw_min = update_step(q, block, cfg)
-            raw_max = update_step(q, block, dataclasses.replace(cfg, direction="max"))
+            raw_max = update_step(q, block, dataclasses.replace(
+                cfg, method=parse_method("nssvdd-linear-psi2-max")))
             assert np.abs(raw_min - (1 - eta) * q).max() <= 1e-8
             assert np.abs(raw_max - (1 + eta) * q).max() <= 1e-8
 
@@ -249,13 +255,13 @@ class TestUpdateStep:
     # term, each with a thin factor (s + 1 < D) and a square one (s + 1 >= D),
     # and psi3, whose lam keeps only the boundary support vectors
     STEP_CASES = [
-        ("psi2", 0.4, 4, 9, 2.0),
-        ("psi0", 0.3, 8, 20, 1.0),
-        ("psi2", 0.3, 8, 20, 2.5),
-        ("psi0", 0.05, 4, 30, 1.0),
-        ("psi1", 0.05, 4, 30, 2.5),
-        ("psi3", 0.1, 6, 25, 3.0),
-        ("psi3", 0.3, 8, 20, 0.5),
+        (2, 0.4, 4, 9, 2.0),
+        (0, 0.3, 8, 20, 1.0),
+        (2, 0.3, 8, 20, 2.5),
+        (0, 0.05, 4, 30, 1.0),
+        (1, 0.05, 4, 30, 2.5),
+        (3, 0.1, 6, 25, 3.0),
+        (3, 0.3, 8, 20, 0.5),
     ]
 
     def test_rowwise_step_equals_full_vectorized_solve(self, monkeypatch):
@@ -277,7 +283,7 @@ class TestUpdateStep:
             s = np.count_nonzero(alpha.alpha)
             assert m.shape == (big_d, s + 1)
             thin.add(s + 1 < big_d)
-            if reg == "psi0" and c == 0.3:
+            if reg == 0 and c == 0.3:
                 assert np.linalg.matrix_rank(m) < big_d
             orders.clear()
             rowwise = newton_step(q, block, beta)
@@ -304,7 +310,7 @@ class TestUpdateStep:
                       + 2.0 * (beta - 1.0) * np.outer(q @ xl, b_pinv @ xl))
             step = newton_step(q, block, beta)
             assert np.abs(step - closed).max() <= 1e-9 * np.abs(closed).max()
-            if np.linalg.matrix_rank(m) == big_d and (reg == "psi0" or beta == 1.0):
+            if np.linalg.matrix_rank(m) == big_d and (reg == 0 or beta == 1.0):
                 assert np.abs(step - q).max() <= 1e-9
 
     def test_rank_recovery_redraws_dependent_rows(self):
@@ -320,13 +326,14 @@ class TestUpdateStep:
         q, x, alpha, lam = random_instance(8)
         block = support_block(x, alpha.alpha, lam)
         g = gradient(q, block, 1.0)
-        cfg = TrainConfig(d=2, C=0.4, eta=0.05, optimizer="gradient", k_max=2)
+        cfg = TrainConfig(GRADIENT, d=2, C=0.4, eta=0.05, k_max=2)
         np.testing.assert_allclose(update_step(q, block, cfg), q - 0.05 * g, atol=1e-12)
 
     def test_newton_step_matches_hand_computation(self):
         q, x, alpha, lam = random_instance(8)
         block = support_block(x, alpha.alpha, lam)
-        cfg = TrainConfig(d=2, C=0.4, beta=2.0, eta=0.05, direction="max", k_max=2)
+        cfg = TrainConfig(parse_method("nssvdd-linear-psi2-max"), d=2, C=0.4, beta=2.0, eta=0.05,
+                          k_max=2)
         by_hand = q + 0.05 * newton_step(q, block, 2.0)
         np.testing.assert_allclose(update_step(q, block, cfg), by_hand, atol=1e-12)
 
@@ -334,7 +341,7 @@ class TestUpdateStep:
 class TestTrainConfig:
     def test_negative_beta_raises(self):
         with pytest.raises(ValueError, match="beta"):
-            TrainConfig(d=1, C=0.5, beta=-1.0)
+            TrainConfig(NEWTON, d=1, C=0.5, beta=-1.0)
 
 
 class TestTrain:
@@ -354,10 +361,38 @@ class TestTrain:
         assert trace[0].gmean is not None
         assert model.config["k_max"] == 7 and model.config["optimizer"] is None
 
+    @pytest.mark.parametrize("kernel, big_d", [("linear", 1), ("linear", 7), ("linear", 300),
+                                               ("rbf", 4)])
+    def test_plain_svdd_is_one_pass_at_the_identity(self, monkeypatch, kernel, big_d):
+        from subsvdd.pipeline import fit_occ_model, prepare_features
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("plain SVDD drew or re-orthonormalized a projection")
+
+        monkeypatch.setattr(subspace, "init_projection", no_draw)
+        monkeypatch.setattr(subspace, "qr_orthonormalize_rows", no_draw)
+        x = np.random.default_rng(big_d).standard_normal((big_d, 40))
+        method = parse_method(f"svdd-{kernel}")
+        sigma = 2.0 if kernel == "rbf" else None
+        prepared = prepare_features(x, kernel, sigma)
+        work = prepared.scaled if sigma is None else prepared.npt.phi
+        # plain SVDD reads no d, beta or eta, and holds Q = I for one pass
+        # whatever its k_max and seed
+        fit = train(work, TrainConfig(method, C=0.1, d=None, beta=None, eta=None, k_max=7,
+                                      seed=3))
+        assert fit.q.tobytes() == np.eye(work.shape[0]).tobytes()
+        assert [(r.iteration, r.orth_error) for r in fit.trace] == [(1, 0.0)]
+        model, _ = fit_occ_model(prepared, method, C=0.1, sigma=sigma, k_max=7, seed=3)
+        alpha = fit.description.alpha.alpha
+        assert alpha.tobytes() == model.description.alpha.alpha.tobytes()
+        assert fit.description.radius_sq == model.description.radius_sq
+        # the dual of the features themselves
+        assert alpha.tobytes() == solve_dual(work.T, 0.1).alpha.tobytes()
+
     def test_k_max_one_is_svdd_on_random_subspace(self):
         gen = np.random.default_rng(21)
         x = gen.standard_normal((5, 20))
-        cfg = TrainConfig(d=2, C=0.3, k_max=1, seed=77)
+        cfg = TrainConfig(NEWTON, d=2, C=0.3, k_max=1, seed=77)
         fit = train(x, cfg)
         assert len(fit.trace) == 1
         expected_q = init_projection(2, 5, np.random.default_rng(77))
@@ -367,7 +402,7 @@ class TestTrain:
         # identical samples: the centered support columns and X lam (psi0)
         # are zero, so the core M is zero and so is the Newton step
         x = np.tile([[1.0], [2.0]], (1, 4))
-        cfg = TrainConfig(d=1, C=0.5, reg_kind="psi0", k_max=3)
+        cfg = TrainConfig(parse_method("nssvdd-linear-psi0-min"), d=1, C=0.5, k_max=3)
         fit = train(x, cfg)
         expected_q = init_projection(1, 2, np.random.default_rng(cfg.seed))
         np.testing.assert_allclose(fit.q, expected_q, rtol=0, atol=1e-15)
@@ -388,7 +423,7 @@ class TestTrain:
 
         monkeypatch.setattr(subspace, "describe", describe)
         x = np.random.default_rng(8).standard_normal((4, 15))
-        cfg = TrainConfig(d=2, C=0.3, k_max=5)
+        cfg = TrainConfig(NEWTON, d=2, C=0.3, k_max=5)
         fit = train(x, cfg, eval_fn=eval_fn)
         # every iterate is scored on its own description, the last one's is the model
         assert len(described) == 5 and list(map(id, scored)) == list(map(id, described))
@@ -402,7 +437,7 @@ class TestTrain:
     def test_trace_has_k_max_rows(self):
         gen = np.random.default_rng(2)
         x = gen.standard_normal((4, 15))
-        cfg = TrainConfig(d=2, C=0.3, k_max=7)
+        cfg = TrainConfig(NEWTON, d=2, C=0.3, k_max=7)
         assert len(train(x, cfg).trace) == 7
 
     def test_orthonormal_after_every_iteration(self):
@@ -410,9 +445,10 @@ class TestTrain:
         x = gen.standard_normal((6, 25))
         for optimizer in ("gradient", "newton"):
             for direction in ("min", "max"):
+                family = {"gradient": "ssvdd", "newton": "nssvdd"}[optimizer]
                 cfg = TrainConfig(
-                    d=3, C=0.2, beta=10.0, eta=0.01, reg_kind="psi2",
-                    direction=direction, optimizer=optimizer, k_max=8,
+                    parse_method(f"{family}-linear-psi2-{direction}"),
+                    d=3, C=0.2, beta=10.0, eta=0.01, k_max=8,
                 )
                 fit = train(x, cfg)
                 assert max(t.orth_error for t in fit.trace) <= 1e-10
@@ -420,7 +456,7 @@ class TestTrain:
     def test_infeasible_c(self):
         x = np.zeros((3, 10)) + np.arange(10)
         with pytest.raises(InfeasibleC):
-            train(x, TrainConfig(d=1, C=0.05, k_max=2))
+            train(x, TrainConfig(NEWTON, d=1, C=0.05, k_max=2))
 
     def test_infeasible_c_raises_before_kernel_basis(self, monkeypatch):
         from subsvdd import pipeline
@@ -440,8 +476,8 @@ class TestTrain:
         x = gen.standard_normal((5, 18))
         for reg in ("psi0", "psi1", "psi2", "psi3"):
             cfg = TrainConfig(
-                d=2, C=0.25, beta=0.5, eta=0.02, reg_kind=reg,
-                optimizer="gradient", k_max=6, seed=11,
+                parse_method(f"ssvdd-linear-{reg}-min"),
+                d=2, C=0.25, beta=0.5, eta=0.02, k_max=6, seed=11,
             )
             t1 = [r.objective for r in train(x, cfg).trace]
             t2 = [r.objective for r in train(x, cfg).trace]
@@ -452,10 +488,7 @@ class TestTrain:
         x = gen.standard_normal((5, 16))
         p, _ = np.linalg.qr(gen.standard_normal((5, 5)))
         q0 = init_projection(2, 5, np.random.default_rng(1))
-        cfg = TrainConfig(
-            d=2, C=0.25, beta=2.0, eta=0.05, reg_kind="psi2",
-            optimizer="newton", k_max=6, seed=1,
-        )
+        cfg = TrainConfig(NEWTON, d=2, C=0.25, beta=2.0, eta=0.05, k_max=6, seed=1)
         trace_a = [r.objective for r in train(x, cfg, q0=q0).trace]
         trace_b = [r.objective for r in train(p @ x, cfg, q0=q0 @ p.T).trace]
         np.testing.assert_allclose(trace_a, trace_b, rtol=0, atol=1e-8)
@@ -465,10 +498,7 @@ class TestTrain:
         x_train = target[:, :45]
         x_eval = np.hstack([target[:, 45:], outlier])
         truth = np.array([True] * 15 + [False] * outlier.shape[1])
-        cfg = TrainConfig(
-            d=2, C=0.2, beta=1.0, eta=0.01, reg_kind="psi2",
-            direction="min", optimizer="newton", k_max=20, seed=42,
-        )
+        cfg = TrainConfig(NEWTON, d=2, C=0.2, beta=1.0, eta=0.01, k_max=20, seed=42)
         fit = train(x_train, cfg)
         _, pos = decide_batch(fit.q @ x_eval, fit.description)
         from subsvdd.metrics import confusion_from_labels, gmean
@@ -479,10 +509,9 @@ class TestTrain:
         # psi0 zeroes lambda, so beta is inert: traces for different beta match
         gen = np.random.default_rng(14)
         x = gen.standard_normal((4, 14))
-        base = TrainConfig(d=2, C=0.3, beta=0.1, eta=0.02, reg_kind="psi0",
-                           optimizer="gradient", k_max=5, seed=3)
-        other = TrainConfig(d=2, C=0.3, beta=99.0, eta=0.02, reg_kind="psi0",
-                            optimizer="gradient", k_max=5, seed=3)
+        psi0 = parse_method("ssvdd-linear-psi0-min")
+        base = TrainConfig(psi0, d=2, C=0.3, beta=0.1, eta=0.02, k_max=5, seed=3)
+        other = TrainConfig(psi0, d=2, C=0.3, beta=99.0, eta=0.02, k_max=5, seed=3)
         t1 = [r.objective for r in train(x, base).trace]
         t2 = [r.objective for r in train(x, other).trace]
         assert t1 == t2
