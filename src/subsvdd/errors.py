@@ -53,10 +53,6 @@ class DegenerateSubspace(NumericalError):
     pass
 
 
-class NonPositiveSigma(NumericalError):
-    pass
-
-
 class ZeroKernel(NumericalError):
     pass
 

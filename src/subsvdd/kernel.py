@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveSigma, NotSymmetric, ZeroKernel
+from .errors import DimensionMismatch, NotSymmetric, ZeroKernel
 from .numerics import sym_eig
+from .settings import check_setting
 
 # eigenpairs of the centered kernel at or below this fraction of the largest
 # eigenvalue are dropped from the basis
@@ -63,9 +64,9 @@ def _pairwise_sq_dists(x, z):
 
 def rbf_kernel_cross(x_train, x_new, sigma):
     """N x M kernel block of columns x_i and z_j, exp(-||x_i - z_j||^2 / (2 sigma^2)),
-    scaled and exponentiated in the distances' buffer."""
-    if not sigma > 0.0:  # false for NaN too
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
+    scaled and exponentiated in the distances' buffer. A sigma out of its
+    range (``settings.RANGES``) raises ValueError."""
+    check_setting("sigma", sigma)
     a = np.asarray(x_train, dtype=np.float64)
     b = np.asarray(x_new, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:

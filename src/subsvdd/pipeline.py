@@ -63,11 +63,14 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
     with this kernel, sigma and scaling (see ``PreparedFeatures``). The
     columns are copied, so a later write to ``x_raw`` cannot reach the basis
     built on first use. A column holding NaN or Inf raises DataError. The
-    linear kernel takes no sigma: one given is checked, then held as None. A
-    ``PreparedFeatures`` given as ``x_raw`` is returned itself, once sigma is
-    checked and it matches this kernel, sigma and scaling (else ValueError)."""
+    linear kernel takes no sigma: one given is checked, then held as None.
+    ``zscore`` must be a bool. A ``PreparedFeatures`` given as ``x_raw`` is
+    returned itself, once sigma and zscore are checked and it matches this
+    kernel, sigma and scaling (else ValueError)."""
     if kernel == "rbf" or sigma is not None:
         check_setting("sigma", sigma)
+    if not isinstance(zscore, (bool, np.bool_)):
+        raise ValueError(f"zscore must be a bool, got {zscore!r}")
     given = (kernel, float(sigma) if kernel == "rbf" else None, bool(zscore))
     if isinstance(x_raw, PreparedFeatures):
         held = (x_raw.kernel, x_raw.sigma, x_raw.zscore)

@@ -88,6 +88,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not isinstance(self.method, MethodSpec):
+            raise ValueError(f"method must be a MethodSpec, got {self.method!r}")
         check_settings(self.method, {n: v for n, v in vars(self).items() if n != "method"})
 
 

@@ -57,6 +57,7 @@ from .errors import (
     NoSupportVectors,
     NotConverged,
 )
+from .settings import check_setting
 
 # the margin, as a fraction of C, that ``support_sets`` keeps from 0 and C
 SV_EPS_FACTOR = 1e-6
@@ -98,7 +99,9 @@ def support_sets(alpha: AlphaVector):
 
 
 def check_feasible_c(C, n):
-    """Raise InfeasibleC unless N points admit sum(alpha) = 1 with alpha <= C."""
+    """Raise ValueError unless C lies in its range (``settings.RANGES``), and
+    InfeasibleC unless N points admit sum(alpha) = 1 with alpha <= C."""
+    check_setting("C", C)
     if C * n < 1.0 - FEASIBILITY_SLACK:
         raise InfeasibleC(f"C = {C} < 1/N = {1.0 / n}")
 
@@ -292,9 +295,9 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
     next bound; it is kept only when alpha stays feasible and the dual does
     not fall, and the gradient is then recomputed from scratch. It does not
     count as a pair update, and the solve still ends only on the certificate
-    above. Raises InfeasibleC when C < 1/N and NotConverged when the
-    criterion is not met within ``max_passes`` pair updates (default
-    10*N^2).
+    above. Raises ValueError when C is not a positive finite number,
+    InfeasibleC when C < 1/N and NotConverged when the criterion is not met
+    within ``max_passes`` pair updates (default 10*N^2).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -302,8 +305,8 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
     n = pts.shape[0]
     if n == 0:
         raise DimensionMismatch("no points")
+    check_feasible_c(C, n)
     c_bound = float(C)
-    check_feasible_c(c_bound, n)
     if max_passes is None:
         max_passes = 10 * n * n
 

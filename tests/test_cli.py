@@ -10,6 +10,8 @@ from subsvdd.cli import main, read_benchmark_config
 from subsvdd.data import load_csv
 from subsvdd.subspace import init_projection
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def write_blob_csv(path, seed=0, n_target=40, n_out=30, dim=4, shift=7.0):
     gen = np.random.default_rng(seed)
@@ -417,15 +419,19 @@ class TestTraceCommand:
         assert len(lines) == 1 + 2 * 4 + 4
 
     def test_trace_deterministic(self, tmp_path):
-        data = write_blob_csv(tmp_path / "d.csv")
-        outs = []
-        for name in ("t1.csv", "t2.csv"):
-            out = tmp_path / name
-            code = main(
-                ["trace", "--data", str(data), "--target-class", "target",
-                 "--method", "ssvdd", "--psi", "0", "--dim", "2", "--C", "0.3",
-                 "--iters", "3", "--splits", "2", "--seed", "9", "--out", str(out)]
-            )
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        runs = [
+            (write_blob_csv(tmp_path / "d.csv"),
+             ["--method", "ssvdd", "--psi", "0", "--dim", "2", "--C", "0.3",
+              "--iters", "3", "--splits", "2", "--seed", "9"]),
+            # the default method on z-scored features
+            (FIXTURES / "grid" / "two.csv", ["--iters", "5", "--splits", "2", "--zscore"]),
+        ]
+        for data, flags in runs:
+            outs = []
+            for name in ("t1.csv", "t2.csv"):
+                out = tmp_path / name
+                code = main(["trace", "--data", str(data), "--target-class", "target",
+                             *flags, "--out", str(out)])
+                assert code == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]

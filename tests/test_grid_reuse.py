@@ -187,6 +187,23 @@ class TestGridBases:
         assert npt_builds == []
 
 
+def test_two_csv_is_its_awk_recipe():
+    """two.csv is format1/train.csv with a copy of each target row shifted by
+    4 and labelled other, as the awk command of tests/fixtures/grid/README.md
+    writes it: awk prints a computed number with %.6g, an integral one as an
+    integer."""
+    train = (GRID_FIXTURES.parent / "format1" / "train.csv").read_text(encoding="utf-8")
+    rows = []
+    for line in train.splitlines():
+        rows.append(line)
+        *values, label = line.split(",")
+        if label == "target":
+            shifted = [float(v) + 4 for v in values]
+            rows.append(",".join(str(int(v)) if v.is_integer() else "%.6g" % v
+                                 for v in shifted) + ",other")
+    assert ("\n".join(rows) + "\n").encode() == (GRID_FIXTURES / "two.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["zscore", "raw"])
 def test_benchmark_matches_the_parent_written_fixture(tmp_path, name):
     """The benchmark CSV and table of a grid with two sigmas, three C (one

@@ -3,7 +3,6 @@ import pytest
 
 from subsvdd.errors import (
     DimensionMismatch,
-    NonPositiveSigma,
     NotSymmetric,
     ZeroKernel,
 )
@@ -39,12 +38,18 @@ class TestRbfKernel:
         np.testing.assert_allclose(np.diag(k), 1.0)
 
     def test_nonpositive_sigma(self):
-        with pytest.raises(NonPositiveSigma):
+        with pytest.raises(ValueError, match="^sigma must be"):
             rbf_kernel(np.zeros((2, 3)), 0.0)
 
     def test_nan_sigma(self):
-        with pytest.raises(NonPositiveSigma):
+        with pytest.raises(ValueError, match="^sigma must be"):
             rbf_kernel(np.zeros((2, 3)), float("nan"))
+
+    @pytest.mark.parametrize("sigma", [float("inf"), True], ids=["inf", "true"])
+    def test_sigma_inf_or_bool(self, sigma):
+        # inf gives an all-ones kernel and True one at sigma = 1: neither is a sigma
+        with pytest.raises(ValueError, match="^sigma must be"):
+            rbf_kernel(np.zeros((2, 3)), sigma)
 
 
 class TestCenterKernel:

@@ -457,6 +457,7 @@ class TestLoadRejectsMalformedFields:
         path = _edited(tmp_path, MODELS[source](), edit)
         with pytest.raises(SchemaError, match="finite values"):
             load(path)
+        assert main(["predict", "--model", str(path), "--data", str(FORMAT1 / "probes.csv")]) == 2
 
     def test_alpha_longer_than_the_training_points(self, tmp_path):
         # in format 5 the length of alpha gives train_X its columns, and a

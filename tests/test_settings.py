@@ -13,9 +13,11 @@ from subsvdd.cli import main, read_benchmark_config
 from subsvdd.data import DataSet, kfold, make_occ_split
 from subsvdd.errors import DataError, SubsvddError
 from subsvdd.evaluate import GridSpec, run_benchmark, trace_run
+from subsvdd.kernel import rbf_kernel
 from subsvdd.pipeline import fit_occ_model, parse_method, prepare_features
 from subsvdd.settings import FIT_SETTINGS, RANGES, MethodSpec, check_setting
 from subsvdd.subspace import TrainConfig
+from subsvdd.svdd import solve_dual
 
 X = np.random.default_rng(2).standard_normal((3, 12))
 # a fit that runs quickly for every value in range; the drawn one replaces its own
@@ -64,6 +66,10 @@ def test_every_entry_point_agrees_with_the_table(name, value):
             assert TrainConfig(PLAIN, **{**fields, name: None}).method is PLAIN
     if name in GRID_LISTS:
         assert _rejects(name, lambda: GridSpec(**{name: (value,)})) == expected
+    if name == "C":
+        assert _rejects(name, lambda: solve_dual(X.T, value)) == expected
+    if name == "sigma":
+        assert _rejects(name, lambda: rbf_kernel(X, value)) == expected
 
 
 @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf])
@@ -140,6 +146,25 @@ def test_grid_message_names_the_list():
 def test_method_vocabulary(parts):
     with pytest.raises(ValueError):
         MethodSpec(*parts)
+
+
+@pytest.mark.parametrize("make, method", [
+    (lambda m: TrainConfig(m, C=0.3, d=1), "nssvdd-linear-psi2-min"),
+    (lambda m: fit_occ_model(X, m, C=0.2), "svdd-linear"),
+], ids=["TrainConfig", "fit_occ_model"])
+def test_method_must_be_a_method_spec(make, method):
+    with pytest.raises(ValueError, match=f"^method must be a MethodSpec, got {method!r}$"):
+        make(method)
+
+
+@pytest.mark.parametrize("zscore", ["no", 1, None])
+def test_zscore_must_be_a_bool(zscore):
+    # bool("no") is True: a string must not z-score the data
+    for make in (lambda: prepare_features(X, "linear", zscore=zscore),
+                 lambda: fit_occ_model(X, PLAIN, C=0.3, zscore=zscore)):
+        with pytest.raises(ValueError, match="^zscore must be a bool"):
+            make()
+    assert prepare_features(X, "linear", zscore=np.bool_(True)).zscore is True
 
 
 @pytest.mark.parametrize("method, unread", [("svdd-linear", {"d", "beta", "eta", "sigma"}),

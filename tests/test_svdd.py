@@ -21,6 +21,7 @@ from subsvdd.svdd import (
     _face_step,
     _gram_block,
     _pair_sweep,
+    check_feasible_c,
     decide_batch,
     describe,
     solve_dual,
@@ -104,6 +105,14 @@ class TestSolveDual:
     def test_infeasible_c(self):
         with pytest.raises(InfeasibleC):
             solve_dual(np.eye(4), C=0.2)
+
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), True, "0.5"],
+                             ids=["inf", "nan", "true", "str"])
+    def test_c_out_of_range(self, c):
+        # C = inf would make the cold start's remainder 1 - 0 * inf a NaN
+        for call in (lambda: solve_dual(np.eye(4), C=c), lambda: check_feasible_c(c, 4)):
+            with pytest.raises(ValueError, match="^C must be a positive finite number"):
+                call()
 
     def test_c_equal_one_over_n_forces_uniform(self):
         av = solve_dual(np.eye(4), C=0.25)
