@@ -17,8 +17,8 @@ from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
 from .pipeline import fit_occ_model
-from .settings import (DIRECTIONS, FAMILIES, KERNELS, PSIS, RANGES, MethodSpec, check_setting,
-                       parse_method)
+from .settings import DIRECTIONS, FAMILIES, KERNELS, PSIS, MethodSpec, check_setting, parse_method
+from .subspace import TrainConfig
 
 log = logging.getLogger("subsvdd")
 
@@ -43,12 +43,13 @@ def _add_train_flags(p, with_out=True):
     p.add_argument("--kernel", choices=KERNELS, default="linear")
     p.add_argument("--psi", type=int, choices=PSIS, default=2)
     p.add_argument("--direction", choices=DIRECTIONS, default="min")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=TrainConfig.beta)
+    p.add_argument("--eta", type=float, default=TrainConfig.eta)
     p.add_argument("--dim", type=int, default=2, help="subspace dimension d")
     p.add_argument("--C", type=float, default=0.2)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=100, help="iteration cap k_max")
+    p.add_argument("--iters", type=int, default=TrainConfig.k_max, help="iteration cap k_max")
+    # trace reads it as a base seed, so it is not TrainConfig's fit seed
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--zscore", action="store_true", help="z-score features (fit on training targets)")
     p.add_argument("--has-header", action="store_true")
@@ -124,30 +125,17 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-# benchmark-config key -> (run_benchmark keyword, JSON type or allowed values);
-# a key the file leaves out takes the default of run_benchmark or fit_occ_model,
-# and a key whose keyword is a setting must lie in its range (settings.RANGES)
-CONFIG_KEYS = {
-    "datasets": ("datasets", list),
-    "methods": ("methods", list),
-    "repetitions": ("repetitions", int),
-    "seed": ("seed", int),
-    "kfolds": ("k", int),
-    "train_frac": ("train_frac", float),
-    "grid": ("grid", dict),
-    "iters": ("k_max", int),
-    "zscore": ("zscore", bool),
-}
+# benchmark-config key -> the setting it sets, which settings.check_setting types
+# and range-checks, or for a key that sets none its JSON type; a key the file
+# leaves out takes the default of run_benchmark or fit_occ_model
+CONFIG_KEYS = {"datasets": list, "methods": list, "repetitions": "repetitions", "seed": "seed",
+               "kfolds": "k", "grid": dict, "iters": "k_max", "zscore": bool}
 # the keys of one "datasets" entry, load_csv's parameters, and their types
 DATASET_KEYS = {"path": str, "has_header": bool, "label_column": ("first", "last"), "name": str}
 
 
 def _json_is(value, kind):
-    if isinstance(kind, tuple):
-        return value in kind
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    return value in kind if isinstance(kind, tuple) else isinstance(value, kind)
 
 
 def read_benchmark_config(path):
@@ -171,16 +159,16 @@ def read_benchmark_config(path):
             raise DataError(
                 f"unknown benchmark config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}"
             )
-        keyword, kind = CONFIG_KEYS[key]
-        if not _json_is(value, kind):
-            what = f"one of {kind}" if isinstance(kind, tuple) else f"of type {kind.__name__}"
-            raise DataError(f"benchmark config key {key!r} must be {what}, got {value!r}")
-        if keyword in RANGES:
+        kind = CONFIG_KEYS[key]
+        if isinstance(kind, str):
             try:
-                check_setting(keyword, value)
+                check_setting(kind, value)
             except ValueError as exc:
                 raise DataError(f"benchmark config key {key!r}: {exc}") from None
-        settings[keyword] = value
+        elif not _json_is(value, kind):
+            raise DataError(f"benchmark config key {key!r} must be of type {kind.__name__}, "
+                            f"got {value!r}")
+        settings[kind if isinstance(kind, str) else key] = value
     for spec in settings["datasets"]:
         if not (isinstance(spec, dict) and "path" in spec and set(spec) <= set(DATASET_KEYS)):
             raise DataError(

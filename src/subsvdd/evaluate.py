@@ -288,13 +288,13 @@ def _stable_unique(items):
     return seen
 
 
-def _split_and_seed(ds, target, rep, base_seed, train_frac):
-    """Split ``rep`` of target class ``target`` and the seed of its final fit."""
-    split = make_occ_split(ds, target, train_frac, derive_seed(base_seed, ds.name, target, rep))
+def _split_and_seed(ds, target, rep, base_seed):
+    """Split ``rep`` of target class ``target``, at TRAIN_FRAC, and its final fit's seed."""
+    split = make_occ_split(ds, target, TRAIN_FRAC, derive_seed(base_seed, ds.name, target, rep))
     return split, derive_seed(base_seed, ds.name, target, rep, "fit")
 
 
-def _bench_cell(cell, options, *, base_seed, grid, k, train_frac, timing):
+def _bench_cell(cell, options, *, base_seed, grid, k, timing):
     """One benchmark cell: split, grid search, final fit, test Gmean. A cell
     that fails is logged and reported with no Gmean, selection or time."""
     ds, target, method, rep = cell
@@ -302,7 +302,7 @@ def _bench_cell(cell, options, *, base_seed, grid, k, train_frac, timing):
                             split_index=rep)
     t0 = time.perf_counter()
     try:
-        split, fit_seed = _split_and_seed(ds, target, rep, base_seed, train_frac)
+        split, fit_seed = _split_and_seed(ds, target, rep, base_seed)
         cv_seed = derive_seed(base_seed, ds.name, target, rep, "cv")
         point, _ = grid_search(ds, split, method, grid, k, cv_seed, **options)
         model, _ = _fit(ds.features[:, split.train_target], method, point, fit_seed, **options)
@@ -316,8 +316,8 @@ def _bench_cell(cell, options, *, base_seed, grid, k, train_frac, timing):
     return row(gmean=score, selected=point, wall_ms=wall)
 
 
-def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
-                  train_frac=TRAIN_FRAC, jobs=1, timing=False, **options):
+def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5, jobs=1,
+                  timing=False, **options):
     """Full repeated-split benchmark over datasets x target classes x methods.
 
     ``options`` go to every ``fit_occ_model`` call unchanged. Each run
@@ -325,8 +325,7 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
     ``settings.RANGES``, or ValueError is raised before any cell runs, and
     so is DataError for a (dataset, method) the grid has no point for.
     """
-    for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k),
-                        ("train_frac", train_frac), ("jobs", jobs)):
+    for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k), ("jobs", jobs)):
         check_setting(name, value)
     specs = [parse_method(m) for m in methods]
     grid = grid or GridSpec()
@@ -340,7 +339,7 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5,
         for rep in range(repetitions)
     ]
     run_cell = functools.partial(_bench_cell, options=options, base_seed=seed,
-                                 grid=grid, k=k, train_frac=train_frac, timing=timing)
+                                 grid=grid, k=k, timing=timing)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_cell, cells, chunksize=1))
@@ -356,16 +355,16 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
     values; no search happens here, and ``None`` values take
     ``fit_occ_model``'s defaults. ``options`` go to ``fit_occ_model``
     unchanged. ``splits`` and the base ``seed`` must lie in their ranges in
-    ``settings.RANGES``. Each split trains on TRAIN_FRAC of every class, and
-    split and fit seed are derived as a benchmark cell derives them. Returns rows
-    (split_index, iteration, objective, gmean) for each split, followed by
-    the across-split average series with split_index 'avg'.
+    ``settings.RANGES``. Split and fit seed are those of a benchmark cell
+    (``_split_and_seed``). Returns rows (split_index, iteration, objective,
+    gmean) for each split, followed by the across-split average series with
+    split_index 'avg'.
     """
     check_setting("splits", splits)
     check_setting("seed", seed)
     per_split = []
     for rep in range(splits):
-        split, fit_seed = _split_and_seed(ds, target, rep, seed, TRAIN_FRAC)
+        split, fit_seed = _split_and_seed(ds, target, rep, seed)
         truth = ds.labels[split.test_indices] == target
         _, trace = _fit(
             ds.features[:, split.train_target], method, params, fit_seed,

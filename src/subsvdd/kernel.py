@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric, ZeroKernel
-from .numerics import sym_eig
+from .numerics import SYM_TOL, sym_eig
 from .settings import check_setting
 
 # eigenpairs of the centered kernel at or below this fraction of the largest
@@ -93,7 +93,7 @@ def center_kernel(k):
     if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got {k_mat.shape}")
     out = np.subtract(k_mat, k_mat.T)
-    if np.abs(out, out=out).max() > 1e-9:
+    if np.abs(out, out=out).max() > SYM_TOL:
         raise NotSymmetric("kernel matrix is not symmetric")
     row_mean = k_mat.mean(axis=1, keepdims=True)
     total_mean = k_mat.mean()

@@ -118,8 +118,10 @@ def _check_model(model: TrainedModel, k=None):
     desc = model.description
     if desc.center.shape[0] != w.shape[0]:
         raise InvariantViolation("center dimension does not match the rows of W")
-    if not desc.radius_sq >= 0.0:
-        raise InvariantViolation("radius_sq is negative")
+    if not np.isfinite(desc.center).all():
+        raise InvariantViolation("center holds NaN or Inf")
+    if not 0.0 <= desc.radius_sq < np.inf:  # false for NaN too
+        raise InvariantViolation("radius_sq must be a non-negative finite number")
     # on a list: three numpy reductions of a small model's alpha cost more
     a, slack = desc.alpha.alpha.tolist(), FEASIBILITY_SLACK
     if not (abs(sum(a) - 1.0) <= slack and min(a) >= -slack and max(a) <= desc.alpha.C + slack):

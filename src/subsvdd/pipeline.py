@@ -89,18 +89,20 @@ def prepare_features(x_raw, kernel, sigma=None, zscore=False):
     return PreparedFeatures(x_mat, *given)
 
 
-def fit_occ_model(features, method: MethodSpec, *, C, d=None, beta=1.0, eta=0.01, sigma=None,
-                  k_max=100, seed=42, zscore=False, eval_data=None):
+def fit_occ_model(features, method: MethodSpec, *, C, d=None, beta=TrainConfig.beta,
+                  eta=TrainConfig.eta, sigma=None, k_max=TrainConfig.k_max, seed=TrainConfig.seed,
+                  zscore=False, eval_data=None):
     """Fit one model on target-class training columns.
 
     ``features`` is a D x N block of raw columns or what ``prepare_features``
-    made of one, for the method's kernel, ``sigma`` and ``zscore``. Each
-    setting must lie in its range in ``settings.RANGES``, before any work,
-    unless the method does not read it (``MethodSpec.reads``) and it is left
-    out: the fit then records none. ``eval_data`` is an optional (X_eval,
-    is_target) pair in the raw input space; when given, each iteration of the
-    trace carries the Gmean of the current model on it, scored as ``predict``
-    scores it. Returns (TrainedModel, trace).
+    made of one, for the method's kernel, ``sigma`` and ``zscore``. beta, eta,
+    k_max and seed default to ``TrainConfig``'s. Each setting must lie in its
+    range in ``settings.RANGES``, before any work, unless the method does not
+    read it (``MethodSpec.reads``) and it is None: the fit then records none.
+    ``eval_data`` is an optional (X_eval, is_target) pair in the raw input
+    space; when given, each iteration of the trace carries the Gmean of the
+    current model on it, scored as ``predict`` scores it. Returns
+    (TrainedModel, trace).
     """
     cfg = TrainConfig(method, C, d=d, beta=beta, eta=eta, k_max=k_max, seed=seed)
     prepared = prepare_features(features, method.kernel, sigma, zscore)

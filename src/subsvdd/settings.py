@@ -6,15 +6,17 @@ A method is written ``family-kernel[-psiK-dir]``, e.g. ``svdd-linear``,
 says which settings a method's fit reads, and ``check_settings`` tests those
 and any other given. The numeric settings each have one range, in ``RANGES``:
 
-- the fit settings ``FIT_SETTINGS`` (C, d, beta, eta, sigma, k_max, seed);
-- the run settings of a benchmark or trace: ``repetitions``, ``k`` (the
-  cross-validation folds), ``train_frac``, ``splits`` and ``jobs``; the base
-  seed of a run, which each fit's seed is derived from, is a ``seed``.
+- the fit settings ``FIT_SETTINGS`` (C, d, beta, eta, sigma, k_max, seed),
+  with their defaults in ``subspace.TrainConfig``;
+- the run settings: ``repetitions``, ``k`` (the cross-validation folds),
+  ``splits`` and ``jobs``, and ``make_occ_split``'s ``train_frac`` (a
+  benchmark or trace splits at ``evaluate.TRAIN_FRAC``); the base seed of a
+  run, which each fit's seed is derived from, is a ``seed``.
 
 Every value that reaches a fit or a run, whether it comes as a CLI flag, an
 API argument, a grid list entry, a benchmark config key or a model file
-field, is tested with ``check_setting``. NaN, +-Inf and bools fail every test,
-and no integer setting exceeds ``INT_MAX`` = 2**63 - 1.
+field, is typed and tested by ``check_setting`` alone. NaN, +-Inf and bools
+fail every test, and no integer setting exceeds ``INT_MAX`` = 2**63 - 1.
 """
 from __future__ import annotations
 

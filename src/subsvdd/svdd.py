@@ -47,6 +47,7 @@ carries the same certificate, and ``max_passes`` still counts pair updates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InfeasibleC,
+    NonFinite,
     NoSupportVectors,
     NotConverged,
 )
@@ -296,8 +298,9 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
     not fall, and the gradient is then recomputed from scratch. It does not
     count as a pair update, and the solve still ends only on the certificate
     above. Raises ValueError when C is not a positive finite number,
-    InfeasibleC when C < 1/N and NotConverged when the criterion is not met
-    within ``max_passes`` pair updates (default 10*N^2).
+    InfeasibleC when C < 1/N, NonFinite when a point holds NaN or Inf (or
+    G_ii overflows) and NotConverged when the criterion is not met within
+    ``max_passes`` pair updates (default 10*N^2).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -312,13 +315,16 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
 
     pc = np.ascontiguousarray(pts - pts.mean(axis=0))
     diag = np.einsum("ik,ik->i", pc, pc)  # G_ii, the same bits as _gram_block's
-    tol = 1e-12 * max(1.0, float(diag.max()))
+    diag_max = float(diag.max())  # NaN or Inf in any point spoils every G_ii; max keeps NaN
+    if not math.isfinite(diag_max):
+        raise NonFinite("points hold NaN or Inf")
+    tol = 1e-12 * max(1.0, diag_max)
     alpha = None
     if alpha0 is not None:
         cand = np.asarray(alpha0, dtype=np.float64)
         if (
             cand.shape == (n,)
-            and abs(cand.sum() - 1.0) < 1e-9
+            and abs(cand.sum() - 1.0) < FEASIBILITY_SLACK
             and cand.min() >= 0.0
             and cand.max() <= c_bound + 1e-15
         ):

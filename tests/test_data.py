@@ -56,6 +56,14 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(write(tmp_path, ""))
 
+    def test_one_column_holds_no_feature(self, tmp_path):
+        with pytest.raises(ParseError, match="at least one feature and a label"):
+            load_csv(write(tmp_path, "A\nB\n"))
+
+    def test_label_column_is_first_or_last(self, tmp_path):
+        with pytest.raises(ValueError, match="label_column must be"):
+            load_csv(write(tmp_path, "1,2,A\n"), label_column="middle")
+
     def test_iris_shape_when_available(self, tmp_path):
         sklearn = pytest.importorskip("sklearn.datasets")
         iris = sklearn.load_iris()

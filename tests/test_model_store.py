@@ -348,9 +348,12 @@ MODELS = {"linear": linear_model, "linear-zscore": lambda: linear_model(zscore=T
           "svdd": lambda: fit_occ_model(make_blobs()[0], parse_method("svdd-linear"), C=0.2)[0],
           # the train fixtures in format 4, whose arrays are nested JSON lists
           "format4-linear": lambda: FORMAT4 / "nssvdd_linear.json",
-          "format4-rbf": lambda: FORMAT4 / "nssvdd_rbf.json"}
-# (id, model, edit): files whose config no fit writes, or whose alpha is off
-# the simplex capped at C
+          "format4-rbf": lambda: FORMAT4 / "nssvdd_rbf.json",
+          "format2-rbf": lambda: FORMAT2 / "rbf.json"}
+
+
+# (id, model, edit): files whose config no fit writes, whose alpha is off the
+# simplex capped at C, or whose arrays do not fit each other
 NOT_FROM_A_FIT = [
     ("kernel-banana", "linear", _set("config", "kernel", "banana")),
     ("method-foo", "linear", _set("config", "method", "foo")),
@@ -376,6 +379,15 @@ NOT_FROM_A_FIT = [
     ("alpha-above-C", "linear", _set("config", "C", 0.01)),
     ("rbf-sigma-changed", "rbf", _set("config", "sigma", 3.3)),
     ("rbf-sigma-null", "rbf", _set("config", "sigma", None)),
+    ("rbf-config-with-Q", "linear",
+     lambda payload: payload["config"].update(kernel="rbf", sigma=1.0)),
+    ("Q-one-row-more", "format4-linear", lambda payload: payload["Q"].append(payload["Q"][0])),
+    ("center-one-entry-more", "format4-linear",
+     lambda payload: payload["description"]["center"].append(0.0)),
+    ("radius_sq-negative", "linear", _set("description", "radius_sq", -1)),
+    ("Q-ragged", "format4-linear", lambda payload: payload["Q"][0].pop()),
+    ("format2-Q-short-of-U_r", "format2-rbf",
+     lambda payload: payload.update(Q=[row[:-1] for row in payload["Q"]])),
 ]
 
 
@@ -530,6 +542,20 @@ class TestLoadRejectsMalformedFields:
         model = linear_model()
         bad = dataclasses.replace(model, config={**model.config, "eta": float("nan")})
         with pytest.raises(SchemaError, match="eta must be"):
+            save(bad, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("name, value", [
+        ("center", np.nan), ("center", np.inf), ("center", -np.inf), ("radius_sq", np.inf),
+    ], ids=["center-nan", "center-inf", "center-minus-inf", "radius_sq-inf"])
+    def test_save_writes_no_file_load_would_reject(self, tmp_path, kind, name, value):
+        model = MODELS[kind]()
+        desc = model.description
+        if name == "center":
+            value = np.concatenate([[value], desc.center[1:]])
+        bad = dataclasses.replace(model, description=dataclasses.replace(desc, **{name: value}))
+        with pytest.raises(InvariantViolation, match=name):
             save(bad, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
 

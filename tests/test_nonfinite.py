@@ -15,6 +15,8 @@ from subsvdd.evaluate import TRAIN_FRAC, GridSpec, derive_seed, run_benchmark
 from subsvdd.model_store import predict
 from subsvdd.numerics import qr_orthonormalize_rows, sym_eig
 from subsvdd.pipeline import fit_occ_model, parse_method
+from subsvdd.subspace import TrainConfig, train
+from subsvdd.svdd import solve_dual
 
 METHODS = ["svdd-linear", "svdd-rbf", "nssvdd-linear-psi2-min", "ssvdd-linear-psi1-min"]
 
@@ -40,6 +42,19 @@ def test_numerics_raise_a_numerical_error(routine):
     with pytest.raises(NonFinite):
         routine(m)
     assert issubclass(NonFinite, NumericalError)
+
+
+def test_solve_dual_raises_before_it_starts():
+    with pytest.raises(NonFinite):
+        solve_dual([[np.nan], [1.0], [2.0]], 0.5)
+
+
+def test_train_raises_on_a_non_finite_column():
+    # train takes the work-space columns as given; fit_occ_model tests them first
+    x = columns()
+    x[1, 5] = np.nan
+    with pytest.raises(NonFinite):
+        train(x, TrainConfig(parse_method("svdd-linear"), 0.2))
 
 
 @pytest.mark.parametrize("method", ["svdd-linear", "nssvdd-rbf-psi2-min"])

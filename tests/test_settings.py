@@ -194,7 +194,7 @@ RUN_SETTINGS = ("repetitions", "k", "train_frac", "splits", "jobs")
 DS = DataSet(features=np.random.default_rng(3).standard_normal((2, 16)),
              labels=np.array(["a", "b"] * 8, dtype=object), class_names=["a", "b"], name="two")
 # the run settings of a quick run, and the base seed; the drawn one replaces its own
-RUN = {"repetitions": 1, "seed": 3, "k": 2, "train_frac": 0.7, "jobs": 1, "splits": 1}
+RUN = {"repetitions": 1, "seed": 3, "k": 2, "jobs": 1, "splits": 1}
 run_values = st.one_of(st.booleans(), st.integers(-3, 4), st.floats(-0.5, 1.5),
                        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0]))
 
@@ -208,8 +208,8 @@ def _api_entry_points(name, value):
     ``value``. The benchmark runs on no data, so a value in range costs nothing."""
     run = {**RUN, name: value}
     calls = {}
-    if name != "splits":
-        bench = {key: run[key] for key in ("repetitions", "seed", "k", "train_frac", "jobs")}
+    if name not in ("splits", "train_frac"):  # a benchmark splits at evaluate.TRAIN_FRAC
+        bench = {key: run[key] for key in ("repetitions", "seed", "k", "jobs")}
         calls["run_benchmark"] = lambda: run_benchmark([], ["svdd-linear"], **bench)
     if name in ("splits", "seed"):
         calls["trace_run"] = lambda: trace_run(DS, "a", parse_method("svdd-linear"), {"C": 0.5},
@@ -241,7 +241,7 @@ def test_every_run_entry_point_agrees_with_the_table(name, value):
 RUN_TABLE = [
     ("repetitions", "repetitions", None, [0, -1]),
     ("k", "kfolds", None, [1, 0]),
-    ("train_frac", "train_frac", None, [0, 1, 1.5, -0.0]),
+    ("train_frac", None, None, [0, 1, 1.5, -0.0]),
     ("splits", None, ["trace", "--splits"], [0, -2]),
     ("jobs", None, ["benchmark", "--jobs"], [0, -2]),
     ("seed", "seed", ["trace", "--seed"], [-1]),
