@@ -66,6 +66,10 @@ TRACE_COLUMNS = ("split_index", "iteration", "objective", "gmean")
 # share of each class in a split's training portion
 TRAIN_FRAC = 0.7
 
+# the fit_occ_model keywords a run hands to every fit; the grid point (or the
+# trace's params) and the cell set the others
+FIT_OPTIONS = ("k_max", "zscore")
+
 
 def derive_seed(base, *parts):
     """Stable 63-bit seed from a base seed and any hashable path of parts."""
@@ -316,15 +320,24 @@ def _bench_cell(cell, options, *, base_seed, grid, k, timing):
     return row(gmean=score, selected=point, wall_ms=wall)
 
 
+def _check_options(options):
+    unknown = sorted(set(options) - set(FIT_OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown fit option {unknown[0]!r}; the options a run passes to "
+                         f"every fit are {', '.join(FIT_OPTIONS)}")
+
+
 def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5, jobs=1,
                   timing=False, **options):
     """Full repeated-split benchmark over datasets x target classes x methods.
 
-    ``options`` go to every ``fit_occ_model`` call unchanged. Each run
-    setting (and the base ``seed``) must lie in its range in
-    ``settings.RANGES``, or ValueError is raised before any cell runs, and
-    so is DataError for a (dataset, method) the grid has no point for.
+    ``options`` go to every ``fit_occ_model`` call unchanged. A key of
+    ``options`` not in FIT_OPTIONS, or a run setting (or the base ``seed``)
+    out of its range in ``settings.RANGES``, raises ValueError before any
+    cell runs, and so does DataError for a (dataset, method) the grid has no
+    point for.
     """
+    _check_options(options)
     for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k), ("jobs", jobs)):
         check_setting(name, value)
     specs = [parse_method(m) for m in methods]
@@ -354,12 +367,14 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
     ``params`` maps hyperparameter names (C, d, beta, eta, sigma) to fixed
     values; no search happens here, and ``None`` values take
     ``fit_occ_model``'s defaults. ``options`` go to ``fit_occ_model``
-    unchanged. ``splits`` and the base ``seed`` must lie in their ranges in
+    unchanged; a key not in FIT_OPTIONS raises ValueError before any fit.
+    ``splits`` and the base ``seed`` must lie in their ranges in
     ``settings.RANGES``. Split and fit seed are those of a benchmark cell
     (``_split_and_seed``). Returns rows (split_index, iteration, objective,
     gmean) for each split, followed by the across-split average series with
     split_index 'avg'.
     """
+    _check_options(options)
     check_setting("splits", splits)
     check_setting("seed", seed)
     per_split = []

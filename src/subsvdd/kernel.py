@@ -48,6 +48,9 @@ class NptBasis(KernelMap):
     u_r: np.ndarray  # N x r retained eigenvectors
     eigvals_r: np.ndarray  # r retained (positive) eigenvalues
     phi: np.ndarray = field(repr=False)  # r x N
+    # the largest |eigenvalue| dropped (0.0 when none is): U_r A_r U_r'
+    # differs from K_hat by at most this, besides the eigensolver's rounding
+    dropped_max: float
 
 
 def _pairwise_sq_dists(x, z):
@@ -127,6 +130,7 @@ def build_npt(x, sigma):
         sigma=float(sigma),
         train_x=x_mat,
         phi=(u_r / np.sqrt(vals_r)).T @ k_hat,
+        dropped_max=float(np.abs(vals[~keep]).max(initial=0.0)),
     )
 
 

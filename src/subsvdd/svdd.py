@@ -313,11 +313,14 @@ def solve_dual(points, C, max_passes=None, alpha0=None):
     if max_passes is None:
         max_passes = 10 * n * n
 
+    # before the centering, in which an Inf gives inf - inf and a warning
+    if not np.isfinite(pts).all():
+        raise NonFinite("points hold NaN or Inf")
     pc = np.ascontiguousarray(pts - pts.mean(axis=0))
     diag = np.einsum("ik,ik->i", pc, pc)  # G_ii, the same bits as _gram_block's
-    diag_max = float(diag.max())  # NaN or Inf in any point spoils every G_ii; max keeps NaN
+    diag_max = float(diag.max())
     if not math.isfinite(diag_max):
-        raise NonFinite("points hold NaN or Inf")
+        raise NonFinite("G_ii overflows")
     tol = 1e-12 * max(1.0, diag_max)
     alpha = None
     if alpha0 is not None:

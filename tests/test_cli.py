@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from subsvdd.data import load_csv
 from subsvdd.subspace import init_projection
 
 FIXTURES = Path(__file__).parent / "fixtures"
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def write_blob_csv(path, seed=0, n_target=40, n_out=30, dim=4, shift=7.0):
@@ -435,3 +437,13 @@ class TestTraceCommand:
                 assert code == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+
+def test_ci_smoke_reads_fixtures_that_exist():
+    # the entry-point smoke runs only on a CI runner; a fixture it names that
+    # was renamed or removed fails here first
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert "fx=tests/fixtures" in text
+    paths = re.findall(r"\$fx/([^\s\"']+)", text)
+    assert len(paths) >= 9
+    assert [p for p in paths if not (FIXTURES / p).is_file()] == []

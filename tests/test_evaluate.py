@@ -9,6 +9,7 @@ from subsvdd import evaluate
 from subsvdd.data import DataSet
 from subsvdd.errors import DataError, NoNegatives, NoPositives
 from subsvdd.evaluate import (
+    FIT_OPTIONS,
     BenchmarkReport,
     ConfusionCounts,
     GridSpec,
@@ -353,6 +354,26 @@ class TestOptionsForwarded:
         assert len(fit_calls) == 2
         assert_forwarded(fit_calls, {"C", "d", "beta"})
         assert all(kw["eval_data"] is not None for kw in fit_calls)
+
+    def test_options_name_every_fit_option(self):
+        assert set(OPTIONS) == set(FIT_OPTIONS)
+
+    @pytest.mark.parametrize("entry", ["run_benchmark", "trace_run"])
+    def test_an_unknown_option_is_named_before_any_split_or_fit(self, fit_calls, monkeypatch,
+                                                                entry):
+        splits = []
+        monkeypatch.setattr(evaluate, "make_occ_split", lambda *args: splits.append(args))
+        ds = blob_dataset()
+        calls = {
+            "run_benchmark": lambda: run_benchmark([ds], ["svdd-linear"], repetitions=1,
+                                                   grid=GridSpec(C=(0.3,)), k=3, k_max=2,
+                                                   damping=0.5),
+            "trace_run": lambda: trace_run(ds, "pos", parse_method("svdd-linear"), {"C": 0.3},
+                                           splits=1, k_max=2, damping=0.5),
+        }
+        with pytest.raises(ValueError, match="unknown fit option 'damping'"):
+            calls[entry]()
+        assert not splits and not fit_calls
 
 
 class TestDeriveSeed:

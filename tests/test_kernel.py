@@ -7,6 +7,7 @@ from subsvdd.errors import (
     ZeroKernel,
 )
 from subsvdd.kernel import (
+    RANK_TOL,
     build_npt,
     center_kernel,
     npt_map,
@@ -95,6 +96,21 @@ class TestBuildNpt:
             assert rel < 1e-8
             assert vals.min() > 0.0
             assert phi.shape[0] <= n - 1  # the ones vector is always centered out
+
+    @pytest.mark.parametrize("dim, sigma", [(1, 2.0), (5, 1.0)], ids=["rank-cut", "full-rank"])
+    def test_dropped_max_bounds_the_reconstruction(self, rng, dim, sigma):
+        # the largest |eigenvalue| the rank cut drops; U_r A_r U_r' is K_hat
+        # within it, up to the eigensolver's rounding
+        x = rng.standard_normal((dim, 40))
+        k_hat = center_kernel(rbf_kernel(x, sigma))
+        basis = build_npt(x, sigma)
+        vals = np.linalg.eigvalsh(k_hat)
+        lam_max = basis.eigvals_r.max()
+        dropped = vals[vals <= RANK_TOL * lam_max]
+        assert basis.dropped_max == pytest.approx(np.abs(dropped).max(), rel=0.0,
+                                                  abs=1e-13 * lam_max)
+        rebuilt = (basis.u_r * basis.eigvals_r) @ basis.u_r.T
+        assert np.abs(rebuilt - k_hat).max() <= basis.dropped_max + 1e-13 * lam_max
 
     def test_duplicate_points_reduce_rank(self):
         x = np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0]])

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_blobs, store_array, stored_array
+from subsvdd import model_store
 from subsvdd.cli import main
 from subsvdd.data import load_features_csv
 from subsvdd.errors import (
@@ -20,7 +22,8 @@ from subsvdd.errors import (
     VersionError,
 )
 from subsvdd.metrics import confusion_from_labels, gmean
-from subsvdd.model_store import CONFIG_KEYS, _decoded, _encoded, load, predict, save
+from subsvdd.kernel import RANK_TOL, center_kernel, rbf_kernel
+from subsvdd.model_store import CONFIG_KEYS, MAP_TOL, _decoded, _encoded, load, predict, save
 from subsvdd.pipeline import MethodSpec, fit_occ_model, parse_method
 
 
@@ -615,6 +618,160 @@ class TestLoadRejectsMalformedFields:
                        _edit_bytes(*keys, change=lambda raw: raw[:8] + pattern + raw[16:]))
         with pytest.raises(SchemaError, match="finite"):
             load(path)
+
+
+# fitted rbf models: a gradient and a Newton subspace fit and plain SVDD, on
+# inputs of three spreads
+BASIS_FITS = [("ssvdd-rbf-psi1-max", 1.0), ("nssvdd-rbf-psi2-min", 30.0), ("svdd-rbf", 0.1)]
+EPS = np.finfo(np.float64).eps
+
+
+@functools.cache
+def fitted_rbf(index):
+    method, spread = BASIS_FITS[index]
+    target, _ = make_blobs(seed=index, n_target=40)
+    model, _ = fit_occ_model(target * spread, parse_method(method), C=0.1, d=3, beta=0.5,
+                             eta=0.001, sigma=2.0 * spread, k_max=4, seed=index)
+    return model
+
+
+def _map_moved(model, kind, a, t):
+    """W with row ``a`` moved so that W K_hat W' departs from I by about ``t``
+    times the basis check's tolerance MAP_TOL eps N lambda_max ||w_a|| ||w_b||:
+    at (a, a) when ``kind`` is "scale", at (a, a + 1) when it is "mix"."""
+    w = model.w.copy()
+    unit = MAP_TOL * EPS * w.shape[1] * model.npt.eigvals_r.max()
+    norm = np.sqrt((w * w).sum(axis=1))
+    if kind == "scale":  # (1 + e)^2 - 1 is about 2e
+        w[a] *= 1.0 + t * unit * norm[a] ** 2 / 2.0
+    else:  # w_a K_hat w_b' goes from 0 to about e
+        b = (a + 1) % w.shape[0]
+        w[a] += t * unit * norm[a] * norm[b] * w[b]
+    return w
+
+
+def _saves(model, path):
+    """Whether ``save`` writes ``model``; a refusal writes no file."""
+    try:
+        save(model, path)
+    except InvariantViolation:
+        assert not path.exists()
+        return False
+    return True
+
+
+def _loads_with_map(model, w, path):
+    """Whether ``load`` accepts ``model``'s file with its W replaced by ``w``."""
+    save(model, path)
+    payload = json.loads(path.read_text())
+    store_array(payload, ("npt", "W"), w)
+    path.write_text(json.dumps(payload))
+    try:
+        load(path)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def _kernel_ratio(model):
+    """||K_hat||_inf / lambda_max, the kernel check's tolerance over the
+    basis check's: between 1 and sqrt(N)."""
+    npt = model.npt
+    k_hat = center_kernel(rbf_kernel(npt.train_x, npt.sigma))
+    return np.abs(k_hat).sum(axis=1).max() / npt.eigvals_r.max()
+
+
+class TestSaveChecksThroughTheBasis:
+    """``save`` checks a fitted rbf model's W K_hat W' = I through its kernel
+    basis, with lambda_max <= ||K_hat||_inf in the tolerance, so it is the
+    tighter check: a model it writes, ``load`` accepts. Deviations between
+    1/2 and 2 rho times its tolerance (rho = ||K_hat||_inf / lambda_max) are
+    the band where save may refuse what load would accept."""
+
+    def test_save_builds_no_kernel_and_load_does(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel built")
+
+        for name in ("rbf_kernel", "center_kernel"):
+            monkeypatch.setattr(model_store, name, refuse)
+        save(rbf_model(), tmp_path / "m.json")
+        with pytest.raises(AssertionError, match="kernel built"):
+            load(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("change", [
+        lambda npt: {"train_x": make_blobs(seed=5, n_target=30)[0]},
+        lambda npt: {"train_x": np.ascontiguousarray(npt.train_x[:, ::-1])},
+        lambda npt: {"train_x": npt.train_x[:, [1, 0] + list(range(2, 30))].copy()},
+        lambda npt: {"train_x": npt.train_x + np.where(np.arange(30) == 7, 1e-6, 0.0)},
+        lambda npt: {"sigma": 3.3},
+        lambda npt: {"k_row_mean": npt.k_row_mean[::-1].copy()},
+        lambda npt: {"u_r": npt.u_r[:-1]},
+    ], ids=["other-inputs", "inputs-reversed", "two-inputs-swapped", "one-input-moved",
+            "other-sigma", "other-row-means", "U_r-short"])
+    def test_a_basis_not_of_the_inputs_is_refused(self, tmp_path, change):
+        model = rbf_model()
+        npt = dataclasses.replace(model.npt, **change(model.npt))
+        bad = dataclasses.replace(model, npt=npt, config={**model.config, "sigma": npt.sigma})
+        with pytest.raises(InvariantViolation, match="npt block"):
+            save(bad, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_a_map_along_a_dropped_eigenvector_is_refused(self, tmp_path):
+        # on 1-D inputs the centered kernel has eigenvalues below RANK_TOL *
+        # lambda_max, which the basis drops; W moved along one of them leaves
+        # (W U_r) A_r (W U_r)' as it was, and W K_hat W' not
+        target, _ = make_blobs(seed=3, n_target=40, dim=1)
+        model, _ = fit_occ_model(target, parse_method("nssvdd-rbf-psi2-min"), C=0.1, d=2,
+                                 sigma=2.0, k_max=4, seed=3)
+        npt = model.npt
+        vals, vecs = np.linalg.eigh(center_kernel(rbf_kernel(npt.train_x, npt.sigma)))
+        dropped = vecs[:, vals <= RANK_TOL * npt.eigvals_r.max()]
+        w = model.w.copy()
+        w[0] += 1e3 * np.linalg.norm(w[0]) * dropped[:, -1]
+        assert not _saves(dataclasses.replace(model, w=w), tmp_path / "moved.json")
+        assert not _loads_with_map(model, w, tmp_path / "m.json")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(index=st.integers(0, len(BASIS_FITS) - 1), log_change=st.floats(-14.0, -6.0))
+    def test_a_file_save_writes_from_scaled_inputs_loads(self, index, log_change):
+        # every training input scaled by a hair moves every compared entry:
+        # save may refuse the model, but a file it writes loads
+        model = fitted_rbf(index)
+        x = model.npt.train_x * (1.0 + 10.0 ** log_change)
+        moved = dataclasses.replace(model, npt=dataclasses.replace(model.npt, train_x=x))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            saved = _saves(moved, path)
+            if saved:
+                load(path)
+        if log_change >= -9.0:
+            assert not saved
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(index=st.integers(0, len(BASIS_FITS) - 1), kind=st.sampled_from(["scale", "mix"]),
+           row=st.integers(0, 2), log_t=st.floats(-2.0, 2.0))
+    def test_agrees_with_the_loaded_kernel_check(self, index, kind, row, log_t):
+        model = fitted_rbf(index)
+        t = 10.0 ** log_t
+        w = _map_moved(model, kind, row, t)
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = _saves(dataclasses.replace(model, w=w), Path(tmp) / "moved.json")
+            loaded = _loads_with_map(model, w, Path(tmp) / "m.json")
+        if t <= 0.5:
+            assert saved and loaded
+        elif t >= 2.0 * _kernel_ratio(model):
+            assert not saved and not loaded
+        else:
+            assert loaded or not saved
+
+    @pytest.mark.parametrize("index", range(len(BASIS_FITS)))
+    def test_save_refuses_what_load_would_accept_only_in_the_band(self, tmp_path, index):
+        model = fitted_rbf(index)
+        rho = _kernel_ratio(model)
+        assert rho > 1.1
+        w = _map_moved(model, "scale", 0, (1.0 + rho) / 2.0)
+        assert not _saves(dataclasses.replace(model, w=w), tmp_path / "moved.json")
+        assert _loads_with_map(model, w, tmp_path / "m.json")
 
 
 def _read_predictions(path):

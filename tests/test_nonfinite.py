@@ -44,9 +44,20 @@ def test_numerics_raise_a_numerical_error(routine):
     assert issubclass(NonFinite, NumericalError)
 
 
-def test_solve_dual_raises_before_it_starts():
-    with pytest.raises(NonFinite):
-        solve_dual([[np.nan], [1.0], [2.0]], 0.5)
+@pytest.mark.parametrize("points", [
+    [[np.nan], [1.0], [2.0]], [[np.inf], [1.0], [2.0]], [[-np.inf], [1.0], [2.0]],
+    [[np.inf], [-np.inf], [2.0]],
+], ids=["nan", "inf", "minus-inf", "both-infinities"])
+def test_solve_dual_raises_before_it_starts(points):
+    # the suite turns a RuntimeWarning into an error: an inf - inf in the
+    # centering would raise that instead
+    with pytest.raises(NonFinite, match="NaN or Inf"):
+        solve_dual(points, 0.5)
+
+
+def test_solve_dual_raises_when_g_ii_overflows():
+    with pytest.raises(NonFinite, match="G_ii overflows"):
+        solve_dual([[1e200], [1.0], [2.0]], 0.5)
 
 
 def test_train_raises_on_a_non_finite_column():
