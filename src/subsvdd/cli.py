@@ -12,7 +12,7 @@ import json
 import logging
 import sys
 
-from . import evaluate, model_store
+from . import model_store
 from .data import load_csv, load_features_csv
 from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv

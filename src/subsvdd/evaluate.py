@@ -161,7 +161,8 @@ def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec
                 k=5, seed=0, **options):
     """Pick the grid point with the best mean validation Gmean.
 
-    ``options`` go to every ``fit_occ_model`` call unchanged. The loop runs
+    ``options`` go to every ``fit_occ_model`` call unchanged; a key not in
+    FIT_OPTIONS raises ValueError before any fold is cut. The loop runs
     over folds, then over sigma, then over that sigma's points, and prepares
     each fold's training columns once per sigma (``prepare_features``): the
     fits of one (fold, sigma) share its z-scoring and its kernel basis, which
@@ -172,6 +173,7 @@ def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec
     in that order and only strict improvements replace the incumbent. A
     grid with no point for the method raises DataError.
     """
+    _check_options(options)
     points = _grid_points(ds, method, grid)
     folds = kfold(split.train_all, k, seed)
     by_sigma = {}

@@ -18,6 +18,7 @@ each entry has the bits those give.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ from .settings import check_setting
 # eigenpairs of the centered kernel at or below this fraction of the largest
 # eigenvalue are dropped from the basis
 RANK_TOL = 1e-10
+
+# the bases build_npt returned and that are still alive, by id
+_BUILT = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,11 @@ def build_npt(x, sigma):
     K_hat = U A U'. Eigenpairs with lambda <= RANK_TOL * lambda_max are
     dropped (negative eigenvalues always are), and ZeroKernel is raised when
     nothing survives; the training features are Phi = A_r^{-1/2} U_r' K_hat.
+
+    The basis owns its arrays: ``x`` is copied, and every array is read-only.
+    ``is_built`` knows the returned object as one this function made.
     """
-    x_mat = np.ascontiguousarray(x, dtype=np.float64)  # C order, as a loaded model holds it
+    x_mat = np.array(x, dtype=np.float64, order="C")  # as a loaded model holds it
     k = rbf_kernel(x_mat, sigma)
     k_hat = center_kernel(k)
     vals, vecs = sym_eig(k_hat)
@@ -123,7 +130,7 @@ def build_npt(x, sigma):
     keep = vals > RANK_TOL * vals[0]
     vals_r = vals[keep]
     u_r = np.ascontiguousarray(vecs[:, keep])  # C order, as a loaded model holds it
-    return NptBasis(
+    basis = NptBasis(
         u_r=u_r,
         eigvals_r=vals_r,
         k_row_mean=k.mean(axis=1),
@@ -132,6 +139,17 @@ def build_npt(x, sigma):
         phi=(u_r / np.sqrt(vals_r)).T @ k_hat,
         dropped_max=float(np.abs(vals[~keep]).max(initial=0.0)),
     )
+    for a in (basis.train_x, basis.u_r, basis.eigvals_r, basis.k_row_mean, basis.phi):
+        a.flags.writeable = False
+    _BUILT[id(basis)] = basis
+    return basis
+
+
+def is_built(npt):
+    """Whether ``npt`` is a basis ``build_npt`` returned: that very object,
+    not a copy, a ``dataclasses.replace`` of it, an unpickled one or one
+    built by hand."""
+    return npt is not None and _BUILT.get(id(npt)) is npt
 
 
 def kernel_vectors(x_new, kmap: KernelMap):

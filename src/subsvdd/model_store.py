@@ -39,6 +39,7 @@ from .kernel import (
     KernelMap,
     NptBasis,
     center_kernel,
+    is_built,
     kernel_vectors,
     rbf_kernel,
     subspace_map,
@@ -112,9 +113,12 @@ def _check_config(cfg):
 
 def _check_model(model: TrainedModel, k=None):
     """Raise unless the invariants of a model whose config passed
-    ``_check_config`` hold. An rbf model that holds a fit's NptBasis is
-    checked through it and no kernel is built (``_check_basis_map``); any
-    other through its training kernel ``k``, built here when None."""
+    ``_check_config`` hold. An rbf model that holds the very basis
+    ``build_npt`` returned (``kernel.is_built``) is checked through it and no
+    kernel is built (``_check_basis_map``). Any other is checked as ``load``
+    checks its file, through the training kernel ``k``; when ``k`` is None,
+    it is built here from the inputs as a file holds them, and the model's
+    row means must be that kernel's, which the file's model centres with."""
     cfg, npt, w = model.config, model.npt, model.w
     if (cfg["kernel"] == "rbf") != (npt is not None):
         raise InvariantViolation("kernel == 'rbf' must coincide with an npt block")
@@ -139,11 +143,15 @@ def _check_model(model: TrainedModel, k=None):
         dev = np.abs(w @ w.T - np.eye(w.shape[0])).max()
         if not dev <= 1e-8:  # false for NaN too
             raise InvariantViolation(f"Q rows not orthonormal (deviation {dev:.3e})")
-    elif isinstance(npt, NptBasis):
+    elif is_built(npt):
         _check_basis_map(w, npt, desc.alpha.alpha.shape[0])
     else:
         if k is None:
-            k = _training_kernel(w, npt.sigma, npt.train_x, desc.alpha.alpha.shape[0])
+            train_x = np.ascontiguousarray(npt.train_x, dtype=np.float64)
+            k = _training_kernel(w, npt.sigma, train_x, desc.alpha.alpha.shape[0])
+            if not np.array_equal(npt.k_row_mean, k.mean(axis=1)):
+                raise InvariantViolation("npt block: the row means are not those of the "
+                                         "training kernel")
         _check_kernel_map(w, k)
     if cfg["scaling"] is not None:
         scaling = _fields(cfg["scaling"], "scaling", ("mean", "std"))
@@ -178,8 +186,9 @@ def _check_kernel_map(w, k):
 
 
 def _check_basis_map(w, basis: NptBasis, n):
-    """W K_hat W' = I through a fit's kernel basis of ``n`` training inputs,
-    in O(dNr) and with no kernel, once the npt block's shapes and sigma pass.
+    """W K_hat W' = I through a basis ``build_npt`` made of ``n`` training
+    inputs, in O(dNr) and with no kernel, once the npt block's shapes and
+    sigma pass.
 
     W's rows lie in span(U_r), so W K_hat W' = (W U_r) A_r (W U_r)'. The
     part of a row outside span(U_r), of norm o_a = (||w_a||^2 - ||w_a U_r||^2)^(1/2),
@@ -187,50 +196,14 @@ def _check_basis_map(w, basis: NptBasis, n):
     added to each deviation. The tolerance
     is ``_check_kernel_map``'s with ||K_hat|| = lambda_max = ||K_hat||_2, at
     most the ||K_hat||_inf that one takes: this check is the tighter, so a
-    model it passes, ``load`` passes. It trusts the basis to be that of
-    ``basis.train_x``; ``_check_basis_band`` tests that first.
+    model it passes, ``load`` passes.
     """
     _check_npt_block(w, basis.sigma, basis.train_x, n)
-    if basis.u_r.shape[0] != n:
-        raise InvariantViolation("npt block: U_r does not match the training inputs")
     lam_max = basis.eigvals_r.max()
-    _check_basis_band(basis, lam_max)
     wu = w @ basis.u_r
     outside = np.sqrt(np.maximum((w * w).sum(axis=1) - (wu * wu).sum(axis=1), 0.0))
     _check_identity((wu * basis.eigvals_r) @ wu.T, w, lam_max,
                     basis.dropped_max * np.outer(outside, outside))
-
-
-def _check_basis_band(basis: NptBasis, lam_max):
-    """Raise unless the basis is that of its training inputs, sigma and row
-    means, on the kernel entries K_{i,i+h}, h = N // 2, which meet every
-    training input: each from ``train_x`` and sigma in O(D), against
-    U_r A_r U_r' plus the row means m (K = K_hat + m 1' + 1 m' - mean(m)) in
-    O(r).
-
-    An entry may differ by the dropped eigenpairs (``basis.dropped_max``),
-    the eigensolver's rounding (MAP_TOL * eps * N * lambda_max), the
-    centering's and its undoing's of entries and means at most 1 (MAP_TOL *
-    eps), and the rounding of ||x_i - x_j||^2: at most (2D + 3) eps (||x_i||^2
-    + ||x_j||^2) in the fit's Gram form x_i'x_i + x_j'x_j - 2 x_i'x_j, and
-    (2D + 4) eps (||x_i||^2 + ||x_j||^2) here, which the exponential passes on
-    divided by 2 sigma^2 and no larger. Other training inputs (a permutation
-    too), another sigma or other row means fail this by far.
-    """
-    x, u, lam, m = basis.train_x, basis.u_r, basis.eigvals_r, basis.k_row_mean
-    dim, n = x.shape
-    h = max(n // 2, 1)
-    scale = 2.0 * basis.sigma * basis.sigma
-    step = x[:, h:] - x[:, :n - h]
-    k = np.exp(np.einsum("ij,ij->j", step, step) / -scale)
-    rebuilt = (u[h:] * u[:n - h]) @ lam + (m[h:] + m[:n - h] - m.mean())
-    sq = np.einsum("ij,ij->j", x, x)
-    eps = np.finfo(np.float64).eps
-    tol = (basis.dropped_max + MAP_TOL * eps * (n * lam_max + 1.0)
-           + (4 * dim + 7) * eps * (sq[h:] + sq[:n - h]) / scale)
-    if not np.all(np.abs(k - rebuilt) <= tol):  # false for NaN too
-        raise InvariantViolation("npt block: the kernel basis is not that of the training "
-                                 "inputs at sigma")
 
 
 def _check_identity(gram, w, k_norm, extra=0.0):

@@ -358,18 +358,22 @@ class TestOptionsForwarded:
     def test_options_name_every_fit_option(self):
         assert set(OPTIONS) == set(FIT_OPTIONS)
 
-    @pytest.mark.parametrize("entry", ["run_benchmark", "trace_run"])
+    @pytest.mark.parametrize("entry", ["run_benchmark", "trace_run", "grid_search"])
     def test_an_unknown_option_is_named_before_any_split_or_fit(self, fit_calls, monkeypatch,
                                                                 entry):
+        ds = blob_dataset()
+        split = make_occ_split(ds, "pos", 0.7, seed=7)
         splits = []
         monkeypatch.setattr(evaluate, "make_occ_split", lambda *args: splits.append(args))
-        ds = blob_dataset()
+        monkeypatch.setattr(evaluate, "kfold", lambda *args: splits.append(args))
         calls = {
             "run_benchmark": lambda: run_benchmark([ds], ["svdd-linear"], repetitions=1,
                                                    grid=GridSpec(C=(0.3,)), k=3, k_max=2,
                                                    damping=0.5),
             "trace_run": lambda: trace_run(ds, "pos", parse_method("svdd-linear"), {"C": 0.3},
                                            splits=1, k_max=2, damping=0.5),
+            "grid_search": lambda: grid_search(ds, split, parse_method("svdd-linear"),
+                                               GridSpec(C=(0.3,)), k=3, k_max=2, damping=0.5),
         }
         with pytest.raises(ValueError, match="unknown fit option 'damping'"):
             calls[entry]()

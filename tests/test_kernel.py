@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,10 @@ from subsvdd.errors import (
 )
 from subsvdd.kernel import (
     RANK_TOL,
+    NptBasis,
     build_npt,
     center_kernel,
+    is_built,
     npt_map,
     rbf_kernel,
 )
@@ -121,6 +127,30 @@ class TestBuildNpt:
         # identical columns: every kernel entry is 1, the centered kernel 0
         with pytest.raises(ZeroKernel):
             build_npt(np.tile([[1.0], [2.0], [3.0]], 4), 1.0)
+
+    def test_the_basis_owns_read_only_arrays(self, rng):
+        # a C-ordered float64 input, which np.ascontiguousarray would alias
+        x = rng.standard_normal((3, 12))
+        basis = build_npt(x, 1.0)
+        assert x.flags.writeable
+        assert not np.shares_memory(basis.train_x, x)
+        before = x[0, 0]
+        x[0, 0] += 1.0
+        assert basis.train_x[0, 0] == before
+        for name in ("train_x", "u_r", "eigvals_r", "k_row_mean", "phi"):
+            a = getattr(basis, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_only_the_returned_object_is_built(self, rng):
+        basis = build_npt(rng.standard_normal((3, 12)), 1.0)
+        assert is_built(basis)
+        assert is_built(build_npt(basis.train_x, 1.0))
+        fields = {f.name: getattr(basis, f.name) for f in dataclasses.fields(basis)}
+        for other in (dataclasses.replace(basis), copy.copy(basis), copy.deepcopy(basis),
+                      pickle.loads(pickle.dumps(basis)), NptBasis(**fields), None):
+            assert not is_built(other)
 
 
 class TestNptMap:

@@ -686,7 +686,10 @@ class TestSaveChecksThroughTheBasis:
     basis, with lambda_max <= ||K_hat||_inf in the tolerance, so it is the
     tighter check: a model it writes, ``load`` accepts. Deviations between
     1/2 and 2 rho times its tolerance (rho = ||K_hat||_inf / lambda_max) are
-    the band where save may refuse what load would accept."""
+    the band where save may refuse what load would accept. Only the very
+    basis ``build_npt`` returned is trusted; any other kernel map is checked
+    as ``load`` checks the file, through the training kernel and its row
+    means."""
 
     def test_save_builds_no_kernel_and_load_does(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -705,9 +708,8 @@ class TestSaveChecksThroughTheBasis:
         lambda npt: {"train_x": npt.train_x + np.where(np.arange(30) == 7, 1e-6, 0.0)},
         lambda npt: {"sigma": 3.3},
         lambda npt: {"k_row_mean": npt.k_row_mean[::-1].copy()},
-        lambda npt: {"u_r": npt.u_r[:-1]},
     ], ids=["other-inputs", "inputs-reversed", "two-inputs-swapped", "one-input-moved",
-            "other-sigma", "other-row-means", "U_r-short"])
+            "other-sigma", "other-row-means"])
     def test_a_basis_not_of_the_inputs_is_refused(self, tmp_path, change):
         model = rbf_model()
         npt = dataclasses.replace(model.npt, **change(model.npt))
@@ -715,6 +717,54 @@ class TestSaveChecksThroughTheBasis:
         with pytest.raises(InvariantViolation, match="npt block"):
             save(bad, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
+
+    def test_a_basis_with_a_short_u_r_saves_a_file_that_predicts_alike(self, tmp_path, rng):
+        # a replaced basis is checked through the kernel, and prediction
+        # never reads U_r: W, the inputs, sigma and the row means all agree
+        model = rbf_model()
+        npt = dataclasses.replace(model.npt, u_r=model.npt.u_r[:-1])
+        short = dataclasses.replace(model, npt=npt)
+        save(short, tmp_path / "m.json")
+        probes = rng.standard_normal((5, 40))
+        for before, after in zip(predict(short, probes), predict(load(tmp_path / "m.json"), probes)):
+            assert before.tobytes() == after.tobytes()
+
+    def test_one_input_moved_by_a_hair_is_refused(self, tmp_path):
+        # column 2 moved by 1e-11 of the inputs' scale: N/2 kernel entries
+        # compared with the basis passed it, and load refused the file
+        model = fitted_rbf(2)
+        x = model.npt.train_x.copy()
+        x[:, 2] += 1e-11 * np.abs(x).max()
+        moved = dataclasses.replace(model, npt=dataclasses.replace(model.npt, train_x=x))
+        with pytest.raises(InvariantViolation, match="npt block"):
+            save(moved, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m[::-1].copy(),
+        lambda m: np.concatenate([[np.nextafter(m[0], np.inf)], m[1:]]),
+    ], ids=["reversed", "one-ulp"])
+    def test_a_loaded_model_with_other_row_means_is_refused(self, tmp_path, change):
+        save(rbf_model(), tmp_path / "m.json")
+        loaded = load(tmp_path / "m.json")
+        npt = dataclasses.replace(loaded.npt, k_row_mean=change(loaded.npt.k_row_mean))
+        with pytest.raises(InvariantViolation, match="row means"):
+            save(dataclasses.replace(loaded, npt=npt), tmp_path / "other.json")
+        assert not (tmp_path / "other.json").exists()
+
+    def test_a_replaced_basis_saves_through_the_kernel(self, tmp_path, monkeypatch):
+        # the same arrays in another object: the check builds the kernel, and
+        # the file is the fitted model's
+        model = rbf_model()
+        save(model, tmp_path / "fitted.json")
+        built = []
+        inner = model_store.rbf_kernel
+        monkeypatch.setattr(model_store, "rbf_kernel",
+                            lambda *args: built.append(args) or inner(*args))
+        replaced = dataclasses.replace(model, npt=dataclasses.replace(model.npt))
+        save(replaced, tmp_path / "replaced.json")
+        assert len(built) == 1
+        assert (tmp_path / "replaced.json").read_bytes() == (tmp_path / "fitted.json").read_bytes()
 
     def test_a_map_along_a_dropped_eigenvector_is_refused(self, tmp_path):
         # on 1-D inputs the centered kernel has eigenvalues below RANK_TOL *
@@ -734,8 +784,8 @@ class TestSaveChecksThroughTheBasis:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(index=st.integers(0, len(BASIS_FITS) - 1), log_change=st.floats(-14.0, -6.0))
     def test_a_file_save_writes_from_scaled_inputs_loads(self, index, log_change):
-        # every training input scaled by a hair moves every compared entry:
-        # save may refuse the model, but a file it writes loads
+        # every training input scaled by a hair moves the kernel's row means,
+        # so save refuses the model; a file it writes loads
         model = fitted_rbf(index)
         x = model.npt.train_x * (1.0 + 10.0 ** log_change)
         moved = dataclasses.replace(model, npt=dataclasses.replace(model.npt, train_x=x))
