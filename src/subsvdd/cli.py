@@ -14,7 +14,7 @@ import sys
 
 from . import model_store
 from .data import load_csv, load_features_csv
-from .errors import DataError, DimensionMismatch, NumericalError, SubsvddError
+from .errors import DataError, DimensionMismatch, SubsvddError
 from .evaluate import GridSpec, run_benchmark, trace_run, write_trace_csv
 from .pipeline import fit_occ_model
 from .settings import DIRECTIONS, FAMILIES, KERNELS, PSIS, MethodSpec, check_setting, parse_method
@@ -84,7 +84,6 @@ def _fit_flags(args):
 
 
 def _cmd_train(args):
-    _log_config(args)
     ds = load_csv(args.data, has_header=args.has_header, label_column=args.label_column)
     if args.target_class not in ds.class_names:
         raise DataError(
@@ -104,7 +103,6 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
-    _log_config(args)
     model = model_store.load(args.model)
     if args.label_column == "none":
         feats = load_features_csv(args.data, has_header=args.has_header)
@@ -143,8 +141,8 @@ def read_benchmark_config(path):
 
     Returns the ``run_benchmark`` keywords of the keys the file sets, with
     ``datasets`` holding the ``load_csv`` keywords of each dataset. A missing
-    or unknown key, or a value of the wrong type or out of range, raises
-    ``DataError`` naming the key.
+    or unknown key, a value of the wrong type or out of range, or an empty
+    ``datasets`` or ``methods`` list raises ``DataError`` naming the key.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -168,6 +166,8 @@ def read_benchmark_config(path):
         elif not _json_is(value, kind):
             raise DataError(f"benchmark config key {key!r} must be of type {kind.__name__}, "
                             f"got {value!r}")
+        elif kind is list and not value:
+            raise DataError(f"benchmark config key {key!r} must not be empty")
         settings[kind if isinstance(kind, str) else key] = value
     for spec in settings["datasets"]:
         if not (isinstance(spec, dict) and "path" in spec and set(spec) <= set(DATASET_KEYS)):
@@ -194,7 +194,6 @@ def read_benchmark_config(path):
 
 
 def _cmd_benchmark(args):
-    _log_config(args)
     settings = read_benchmark_config(args.config)
     settings["datasets"] = [load_csv(**spec) for spec in settings["datasets"]]
     report = run_benchmark(jobs=args.jobs, timing=args.timing, **settings)
@@ -209,7 +208,6 @@ def _cmd_benchmark(args):
 
 
 def _cmd_trace(args):
-    _log_config(args)
     ds = load_csv(args.data, has_header=args.has_header, label_column=args.label_column)
     method, params, options = _fit_flags(args)
     rows = trace_run(
@@ -267,12 +265,13 @@ def main(argv=None):
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    _log_config(args)
     try:
         return args.func(args)
     except (DataError, DimensionMismatch, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
-    except (NumericalError, SubsvddError) as exc:
+    except SubsvddError as exc:
         log.error("%s", exc)
         return EXIT_NUMERICAL
     except ValueError as exc:

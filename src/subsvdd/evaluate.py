@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -168,10 +169,10 @@ def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec
     fits of one (fold, sigma) share its z-scoring and its kernel basis, which
     is built on the first feasible fit and dropped when the next sigma's
     features replace it, so one basis is held at a time. A point's score is
-    its mean over the folds, in fold order. Ties go to the smallest (d, C,
-    beta, eta, sigma) in lexicographic order because candidates are scanned
-    in that order and only strict improvements replace the incumbent. A
-    grid with no point for the method raises DataError.
+    its mean over the folds, in fold order. The pick is the first point of
+    highest mean (``np.argmax``), so a tie goes to the smallest (d, C, beta,
+    eta, sigma) in lexicographic order, the order of enumeration. A grid
+    with no point for the method raises DataError.
     """
     _check_options(options)
     points = _grid_points(ds, method, grid)
@@ -191,14 +192,9 @@ def grid_search(ds: DataSet, split: OccSplit, method: MethodSpec, grid: GridSpec
             for i in members:
                 scores[i].append(_fold_score(prepared, x_val, is_target, method, points[i],
                                              seed, options))
-    best_point = None
-    best_score = -1.0
-    for point, fold_scores in zip(points, scores):
-        score = float(np.mean(fold_scores))
-        if score > best_score:
-            best_score = score
-            best_point = point
-    return best_point, best_score
+    means = [float(np.mean(fold_scores)) for fold_scores in scores]
+    best = int(np.argmax(means))
+    return points[best], means[best]
 
 
 @dataclass(frozen=True)
@@ -255,11 +251,10 @@ class BenchmarkReport:
     def format_table(self):
         """Aligned per-dataset table: one row per method, one column per class."""
         lines = []
-        datasets = _stable_unique(r.dataset for r in self.rows)
-        for ds_name in datasets:
+        for ds_name in dict.fromkeys(r.dataset for r in self.rows):
             ds_rows = [r for r in self.rows if r.dataset == ds_name]
-            classes = _stable_unique(r.target_class for r in ds_rows)
-            methods = _stable_unique(str(r.method) for r in ds_rows)
+            classes = list(dict.fromkeys(r.target_class for r in ds_rows))
+            methods = list(dict.fromkeys(str(r.method) for r in ds_rows))
             header = ["method".ljust(26)] + [c[:12].rjust(12) for c in classes]
             header.append("Av.".rjust(12))
             lines.append(f"== {ds_name} ==")
@@ -284,14 +279,6 @@ def _cell(v):
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return str(int(v))
     return repr(float(v))
-
-
-def _stable_unique(items):
-    seen = []
-    for it in items:
-        if it not in seen:
-            seen.append(it)
-    return seen
 
 
 def _split_and_seed(ds, target, rep, base_seed):
@@ -336,12 +323,17 @@ def run_benchmark(datasets, methods, repetitions=5, seed=42, *, grid=None, k=5, 
     ``options`` go to every ``fit_occ_model`` call unchanged. A key of
     ``options`` not in FIT_OPTIONS, or a run setting (or the base ``seed``)
     out of its range in ``settings.RANGES``, raises ValueError before any
-    cell runs, and so does DataError for a (dataset, method) the grid has no
-    point for.
+    cell runs, and so does DataError for two datasets of one name (splits,
+    seeds and table rows are keyed on it) or a (dataset, method) the grid
+    has no point for.
     """
     _check_options(options)
     for name, value in (("repetitions", repetitions), ("seed", seed), ("k", k), ("jobs", jobs)):
         check_setting(name, value)
+    shared = [name for name, n in Counter(ds.name for ds in datasets).items() if n > 1]
+    if shared:
+        raise DataError(f"datasets share the name {shared[0]!r}; a benchmark keys its splits "
+                        f"and its table on the name, so names must differ")
     specs = [parse_method(m) for m in methods]
     grid = grid or GridSpec()
     for ds, method in itertools.product(datasets, specs):
@@ -395,8 +387,7 @@ def trace_run(ds: DataSet, target, method: MethodSpec, params, seed=42, splits=5
     n_iter = min(len(t) for t in per_split)
     for i in range(n_iter):
         obj = float(np.mean([t[i].objective for t in per_split]))
-        gms = [t[i].gmean for t in per_split if t[i].gmean is not None]
-        avg_g = float(np.mean(gms)) if gms else None
+        avg_g = float(np.mean([t[i].gmean for t in per_split]))
         rows.append(("avg", per_split[0][i].iteration, obj, avg_g))
     return rows
 

@@ -14,6 +14,7 @@ one O(N^3) basis; grid search does so per (fold, sigma).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 
 import numpy as np
@@ -48,14 +49,12 @@ class PreparedFeatures:
             mean, std = zscore_fit(x_raw)
             self.scaling = {"mean": mean, "std": std}
         self.scaled = input_features(x_raw, self.scaling, None)
-        self._npt = None
 
-    @property
+    @functools.cached_property
     def npt(self):
-        """The kernel basis (rbf), or None (linear)."""
-        if self.kernel == "rbf" and self._npt is None:
-            self._npt = build_npt(self.scaled, self.sigma)
-        return self._npt
+        """The kernel basis (rbf), or None (linear). A build that raises
+        (ZeroKernel) caches nothing."""
+        return build_npt(self.scaled, self.sigma) if self.kernel == "rbf" else None
 
 
 def prepare_features(x_raw, kernel, sigma=None, zscore=False):

@@ -259,19 +259,17 @@ def _orthonormalize_with_recovery(q_raw, rng):
     DegenerateSubspace.
     """
     attempt = q_raw
-    for _ in range(MAX_REDRAWS):
+    for redraws in range(MAX_REDRAWS + 1):
         try:
             return qr_orthonormalize_rows(attempt)
         except RankDeficient as exc:
+            if redraws == MAX_REDRAWS:
+                raise DegenerateSubspace(
+                    f"projection stayed rank-deficient after {MAX_REDRAWS} redraws"
+                ) from exc
             attempt = attempt.copy()
             for r in exc.rows:
                 attempt[r] = rng.standard_normal(attempt.shape[1])
-    try:
-        return qr_orthonormalize_rows(attempt)
-    except RankDeficient as exc:
-        raise DegenerateSubspace(
-            f"projection stayed rank-deficient after {MAX_REDRAWS} redraws"
-        ) from exc
 
 
 def init_projection(d, big_d, rng):

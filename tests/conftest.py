@@ -49,6 +49,3 @@ def store_array(payload, keys, a):
         payload = payload[key]
     payload[keys[-1]] = base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running acceptance checks")

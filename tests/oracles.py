@@ -1,13 +1,23 @@
 """Brute-force reference computations the tests compare the package against.
 
 None of these is used by the package itself: each recomputes a quantity
-from its definition, slowly and without the package's shortcuts.
+from its definition, slowly and without the package's shortcuts. Besides
+them: the seeded problem instances and the finite differences of the
+package's objective and gradient that the derivative checks use.
 """
 import numpy as np
 
 from subsvdd.errors import DimensionMismatch, NotSymmetric
 from subsvdd.numerics import as_matrix, sym_eig
-from subsvdd.svdd import _gram_block
+from subsvdd.subspace import (
+    build_lambda,
+    gradient,
+    hessian_core,
+    init_projection,
+    objective,
+    support_block,
+)
+from subsvdd.svdd import _gram_block, solve_dual
 
 HESSIAN_FULL_CAP = 2500  # hard cap on d*D for the brute-force assembly
 
@@ -48,6 +58,75 @@ def hessian_full(x, alpha_values, lam, d):
                         g_mat @ s_ij.T @ s_kl
                     )
     return h_full
+
+
+def random_instance(seed, d=2, big_d=4, n=6, reg=2, beta=1.0, c=None):
+    """Seeded problem: orthonormal Q, data, a feasible alpha, its lambda."""
+    gen = np.random.default_rng(seed)
+    q = init_projection(d, big_d, gen)
+    x = gen.standard_normal((big_d, n))
+    if c is None:
+        c = max(0.4, 1.0 / n)
+    alpha = solve_dual((q @ x).T, c)
+    lam = build_lambda(reg, alpha)
+    return q, x, alpha, lam
+
+
+def core_matrix(x, alpha, lam):
+    """The Hessian block B = 2 M M' from the factor M that hessian_core returns."""
+    m = hessian_core(support_block(x, alpha, lam))
+    return 2.0 * m @ m.T
+
+
+def true_curvature(x, alpha, lam, beta):
+    """The second derivative of the beta-weighted objective per row of Q:
+    B + 2 (beta - 1)(X lam)(X lam)', the core with lam lam' weighted by beta."""
+    xl = x @ lam
+    return core_matrix(x, alpha, lam) + 2.0 * (beta - 1.0) * np.outer(xl, xl)
+
+
+def objective_by_summation(q, x, alpha, lam, beta):
+    """Literal double-sum + trace evaluation, independent of objective()."""
+    y = q @ x
+    n = x.shape[1]
+    total = 0.0
+    for i in range(n):
+        total += alpha[i] * float(y[:, i] @ y[:, i])
+    for i in range(n):
+        for j in range(n):
+            total -= alpha[i] * alpha[j] * float(y[:, i] @ y[:, j])
+    reg = np.trace(q @ x @ np.outer(lam, lam) @ x.T @ q.T)
+    return total + beta * float(reg)
+
+
+def fd_gradient(q, x, alpha, lam, beta, step=1e-5):
+    g = np.zeros_like(q)
+    for i in range(q.shape[0]):
+        for j in range(q.shape[1]):
+            qp = q.copy()
+            qp[i, j] += step
+            qm = q.copy()
+            qm[i, j] -= step
+            g[i, j] = (
+                objective(qp @ x, alpha, lam, beta) - objective(qm @ x, alpha, lam, beta)
+            ) / (2.0 * step)
+    return g
+
+
+def fd_hessian(q, x, alpha, lam, beta, step=1e-5):
+    """Central differences of the analytic gradient, columns in row-major order."""
+    d, big_d = q.shape
+    block = support_block(x, alpha, lam)
+    h = np.zeros((d * big_d, d * big_d))
+    for i in range(d):
+        for j in range(big_d):
+            qp = q.copy()
+            qp[i, j] += step
+            qm = q.copy()
+            qm[i, j] -= step
+            col = (gradient(qp, block, beta) - gradient(qm, block, beta)) / (2.0 * step)
+            h[:, i * big_d + j] = col.reshape(-1)
+    return h
 
 
 def damped_pinv_factor(h, mu=0.0, rel_tol=1e-10):
@@ -94,6 +173,66 @@ def assert_feasible(alpha, tol=1e-8):
 def dual_objective(gram, alpha):
     """Value of the SVDD dual objective at alpha."""
     return float(np.dot(alpha, np.diag(gram)) - alpha @ gram @ alpha)
+
+
+def simplex_grid_max(gram, c_bound, step=1e-3):
+    """Exhaustive maximization of the dual objective over the grid
+    {alpha : sum(alpha)=1, 0 <= alpha_i <= C, alpha_i a multiple of step}.
+
+    Independent oracle: the leading coordinates are enumerated recursively,
+    with box/sum pruning, up to the last two free ones; for each prefix those
+    two span one 2-D block of counts t, the last coordinate closes the sum,
+    and the whole block is evaluated at once. With alpha = base + V t (base
+    holds the prefix and puts the rest of the mass on the last coordinate; V
+    moves mass from it to the free ones) the objective f(a) = diag'a - a'Ga
+    is f(base) + (diag - 2 G base)'V t - t'V'GV t. Returns the best value of
+    a feasible point.
+    """
+    n = gram.shape[0]
+    if n == 1:
+        return float(gram[0, 0] - gram[0, 0])
+    steps = int(round(1.0 / step))
+    cap = int(np.floor(c_bound / step + 1e-9))
+    free = min(2, n - 1)
+    diag = np.diag(gram)
+    best = -np.inf
+
+    def block(prefix_counts):
+        nonlocal best
+        m = len(prefix_counts)
+        rem = steps - sum(prefix_counts)
+        base = np.zeros(n)
+        base[:m] = prefix_counts
+        base[-1] = rem
+        base *= step
+        v = np.zeros((n, free))
+        v[m:m + free] = np.eye(free)
+        v[-1] = -1.0
+        lin = (diag - 2.0 * gram @ base) @ v
+        quad = v.T @ gram @ v
+        counts = np.meshgrid(*[np.arange(min(cap, rem) + 1)] * free, indexing="ij", sparse=True)
+        t = [c * step for c in counts]
+        values = float(diag @ base - base @ gram @ base) + sum(lin[j] * t[j] for j in range(free))
+        values = values - sum(quad[j, k] * t[j] * t[k] for j in range(free) for k in range(free))
+        last = rem - sum(counts)
+        feasible = (last >= 0) & (last <= cap)
+        if feasible.any():
+            best = max(best, values[feasible].max())
+
+    def rec(prefix_counts):
+        m = len(prefix_counts)
+        if m == n - 1 - free:
+            block(prefix_counts)
+            return
+        rem = steps - sum(prefix_counts)
+        slots_after = n - m - 1
+        lo = max(0, rem - slots_after * cap)
+        hi = min(cap, rem)
+        for v in range(lo, hi + 1):
+            rec(prefix_counts + [v])
+
+    rec([])
+    return float(best)
 
 
 def pair_sweep_full(diag, points, alpha, grad, C):

@@ -13,12 +13,19 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, make_blobs
-from oracles import dual_objective, hessian_full
-from test_svdd import simplex_grid_max
-from test_subspace import core_matrix, fd_gradient, fd_hessian, random_instance, true_curvature
+from oracles import (
+    core_matrix,
+    dual_objective,
+    fd_gradient,
+    fd_hessian,
+    hessian_full,
+    random_instance,
+    simplex_grid_max,
+    true_curvature,
+)
 
 from subsvdd.data import DataSet, load_csv
-from subsvdd.evaluate import GridSpec, run_benchmark
+from subsvdd.evaluate import run_benchmark
 from subsvdd.metrics import confusion_from_labels, gmean
 from subsvdd.model_store import predict
 from subsvdd.pipeline import MethodSpec, fit_occ_model

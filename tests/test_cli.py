@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -360,6 +361,8 @@ class TestBenchmarkCommand:
             ({"iters": 1.5}, "iters"),
             # float(10**400) overflows; the range test stops it first
             ({"grid": {"d": [10**400]}}, "d"),
+            ({"methods": []}, "methods"),
+            ({"datasets": []}, "datasets"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, caplog, change, key):
@@ -373,6 +376,21 @@ class TestBenchmarkCommand:
         assert repr(key) in caplog.text
         assert not out_csv.exists()
 
+    def test_datasets_that_share_a_name_exit_2(self, tmp_path, caplog):
+        # no "name" key: each dataset is named for its file's stem
+        paths = []
+        for sub, seed in (("a", 0), ("b", 1)):
+            (tmp_path / sub).mkdir()
+            paths.append(str(write_blob_csv(tmp_path / sub / "seeds.csv", seed=seed)))
+        cfg = json.loads(self._config(tmp_path).read_text())
+        cfg["datasets"] = [{"path": path} for path in paths]
+        p = tmp_path / "shared.json"
+        p.write_text(json.dumps(cfg))
+        out_csv = tmp_path / "r.csv"
+        assert main(["benchmark", "--config", str(p), "--out-csv", str(out_csv)]) == 2
+        assert "datasets share the name 'seeds'" in caplog.records[-1].getMessage()
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "path",
         sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")),
@@ -380,7 +398,9 @@ class TestBenchmarkCommand:
     )
     def test_shipped_configs_pass_the_reader(self, path):
         settings = read_benchmark_config(path)
-        assert settings["datasets"] and settings["methods"]
+        names = [spec.get("name", Path(spec["path"]).stem) for spec in settings["datasets"]]
+        assert names and settings["methods"]
+        assert len(set(names)) == len(names)
 
     def test_config_options_reach_every_fit(self, tmp_path, monkeypatch):
         configs = []
@@ -437,6 +457,24 @@ class TestTraceCommand:
                 assert code == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_each_run_logs_its_configuration_once(tmp_path, caplog, command):
+    data = write_blob_csv(tmp_path / "d.csv")
+    argv = {
+        "train": ["train", "--data", str(data), "--target-class", "target",
+                  "--out", str(tmp_path / "m.json"), "--iters", "2"],
+        # a run that fails still logs its configuration first
+        "benchmark": ["benchmark", "--config", str(tmp_path / "missing.json"),
+                      "--out-csv", str(tmp_path / "r.csv")],
+    }[command]
+    caplog.set_level(logging.INFO, logger="subsvdd")
+    main(argv)
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("resolved configuration: ")]
+    assert len(logged) == 1
+    assert f'"command": "{command}"' in logged[0]
 
 
 def test_ci_smoke_reads_fixtures_that_exist():

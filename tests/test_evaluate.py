@@ -10,7 +10,6 @@ from subsvdd.data import DataSet
 from subsvdd.errors import DataError, NoNegatives, NoPositives
 from subsvdd.evaluate import (
     FIT_OPTIONS,
-    BenchmarkReport,
     ConfusionCounts,
     GridSpec,
     derive_seed,
@@ -193,6 +192,16 @@ class TestGridSearch:
 
 
 class TestBenchmark:
+    def test_datasets_that_share_a_name_are_refused_before_any_cell(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran for datasets that share a name")
+
+        monkeypatch.setattr(evaluate, "fit_occ_model", no_fit)
+        datasets = [blob_dataset(seed=0, name="seeds"), blob_dataset(seed=1, name="blobs"),
+                    blob_dataset(seed=2, name="seeds")]
+        with pytest.raises(DataError, match=r"^datasets share the name 'seeds';"):
+            run_benchmark(datasets, ["svdd-linear"], repetitions=1)
+
     def test_one_row_per_class(self, tmp_path):
         ds = blob_dataset()
         grid = GridSpec(C=(0.2,), beta=(1.0,), sigma=(1.0,), d=(2,), eta=(0.01,))

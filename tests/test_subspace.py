@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from oracles import TooLarge, damped_pinv_factor, hessian_full, solve_damped
+from oracles import (
+    TooLarge,
+    core_matrix,
+    damped_pinv_factor,
+    fd_gradient,
+    fd_hessian,
+    hessian_full,
+    objective_by_summation,
+    random_instance,
+    solve_damped,
+    true_curvature,
+)
 from subsvdd import subspace
 from subsvdd.cli import main
 from subsvdd.errors import DegenerateSubspace, DimensionMismatch, InfeasibleC, RankDeficient
@@ -30,75 +41,6 @@ from subsvdd.svdd import AlphaVector, decide_batch, solve_dual
 # TrainConfig's old defaults: psi2, min, the newton optimizer
 NEWTON = parse_method("nssvdd-linear-psi2-min")
 GRADIENT = parse_method("ssvdd-linear-psi2-min")
-
-
-def random_instance(seed, d=2, big_d=4, n=6, reg=2, beta=1.0, c=None):
-    """Seeded problem: orthonormal Q, data, a feasible alpha, its lambda."""
-    gen = np.random.default_rng(seed)
-    q = init_projection(d, big_d, gen)
-    x = gen.standard_normal((big_d, n))
-    if c is None:
-        c = max(0.4, 1.0 / n)
-    alpha = solve_dual((q @ x).T, c)
-    lam = build_lambda(reg, alpha)
-    return q, x, alpha, lam
-
-
-def core_matrix(x, alpha, lam):
-    """The Hessian block B = 2 M M' from the factor M that hessian_core returns."""
-    m = hessian_core(support_block(x, alpha, lam))
-    return 2.0 * m @ m.T
-
-
-def true_curvature(x, alpha, lam, beta):
-    """The second derivative of the beta-weighted objective per row of Q:
-    B + 2 (beta - 1)(X lam)(X lam)', the core with lam lam' weighted by beta."""
-    xl = x @ lam
-    return core_matrix(x, alpha, lam) + 2.0 * (beta - 1.0) * np.outer(xl, xl)
-
-
-def objective_by_summation(q, x, alpha, lam, beta):
-    """Literal double-sum + trace evaluation, independent of objective()."""
-    y = q @ x
-    n = x.shape[1]
-    total = 0.0
-    for i in range(n):
-        total += alpha[i] * float(y[:, i] @ y[:, i])
-    for i in range(n):
-        for j in range(n):
-            total -= alpha[i] * alpha[j] * float(y[:, i] @ y[:, j])
-    reg = np.trace(q @ x @ np.outer(lam, lam) @ x.T @ q.T)
-    return total + beta * float(reg)
-
-
-def fd_gradient(q, x, alpha, lam, beta, step=1e-5):
-    g = np.zeros_like(q)
-    for i in range(q.shape[0]):
-        for j in range(q.shape[1]):
-            qp = q.copy()
-            qp[i, j] += step
-            qm = q.copy()
-            qm[i, j] -= step
-            g[i, j] = (
-                objective(qp @ x, alpha, lam, beta) - objective(qm @ x, alpha, lam, beta)
-            ) / (2.0 * step)
-    return g
-
-
-def fd_hessian(q, x, alpha, lam, beta, step=1e-5):
-    """Central differences of the analytic gradient, columns in row-major order."""
-    d, big_d = q.shape
-    block = support_block(x, alpha, lam)
-    h = np.zeros((d * big_d, d * big_d))
-    for i in range(d):
-        for j in range(big_d):
-            qp = q.copy()
-            qp[i, j] += step
-            qm = q.copy()
-            qm[i, j] -= step
-            col = (gradient(qp, block, beta) - gradient(qm, block, beta)) / (2.0 * step)
-            h[:, i * big_d + j] = col.reshape(-1)
-    return h
 
 
 class TestProject:

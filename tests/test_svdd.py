@@ -14,7 +14,7 @@ from subsvdd.errors import (
     NoSupportVectors,
     NotConverged,
 )
-from oracles import assert_feasible, dual_objective, pair_sweep_full
+from oracles import assert_feasible, dual_objective, pair_sweep_full, simplex_grid_max
 from subsvdd.pipeline import fit_occ_model, parse_method
 from subsvdd.svdd import (
     AlphaVector,
@@ -26,66 +26,6 @@ from subsvdd.svdd import (
     describe,
     solve_dual,
 )
-
-
-def simplex_grid_max(gram, c_bound, step=1e-3):
-    """Exhaustive maximization of the dual objective over the grid
-    {alpha : sum(alpha)=1, 0 <= alpha_i <= C, alpha_i a multiple of step}.
-
-    Independent oracle: recursive prefix enumeration with box/sum pruning;
-    the innermost two coordinates are evaluated vectorized. Returns the best
-    objective value found.
-    """
-    n = gram.shape[0]
-    steps = int(round(1.0 / step))
-    cap = int(np.floor(c_bound / step + 1e-9))
-    diag = np.diag(gram)
-    best = -np.inf
-
-    def closing_pair(prefix_counts):
-        nonlocal best
-        m = len(prefix_counts)
-        rem = steps - sum(prefix_counts)
-        lo = max(0, rem - cap)
-        hi = min(cap, rem)
-        if lo > hi:
-            return
-        p = np.array(prefix_counts, dtype=float) * step
-        a_idx, b_idx = n - 2, n - 1
-        xs = np.arange(lo, hi + 1, dtype=float) * step
-        ys = rem * step - xs
-        gp = gram[:, :m] @ p if m else np.zeros(n)
-        s_pre = float(p @ diag[:m]) if m else 0.0
-        q_pp = float(p @ gram[:m, :m] @ p) if m else 0.0
-        lin = s_pre + xs * diag[a_idx] + ys * diag[b_idx]
-        quad = (
-            q_pp
-            + xs * xs * gram[a_idx, a_idx]
-            + ys * ys * gram[b_idx, b_idx]
-            + 2.0 * xs * ys * gram[a_idx, b_idx]
-            + 2.0 * xs * gp[a_idx]
-            + 2.0 * ys * gp[b_idx]
-        )
-        local = (lin - quad).max()
-        if local > best:
-            best = local
-
-    def rec(prefix_counts):
-        m = len(prefix_counts)
-        if m == n - 2:
-            closing_pair(prefix_counts)
-            return
-        rem = steps - sum(prefix_counts)
-        slots_after = n - m - 1
-        lo = max(0, rem - slots_after * cap)
-        hi = min(cap, rem)
-        for v in range(lo, hi + 1):
-            rec(prefix_counts + [v])
-
-    if n == 1:
-        return float(diag[0] - gram[0, 0])
-    rec([])
-    return float(best)
 
 
 class TestSolveDual:
